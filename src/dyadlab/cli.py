@@ -16,7 +16,7 @@ from .errors import (
     DyadLabError,
     InfeasibleError,
 )
-from .experiments import EXPERIMENTS, ExperimentConfig, run, write_report
+from .experiments import EXPERIMENTS, ExperimentConfig, run, strict_json, write_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         for key in ("slope", "ok", "all_ok"):
             if key in report:
                 summary[key] = report[key]
-        print(json.dumps(summary, default=str))
+        print(strict_json(summary))
         return 0
     except (ConfigError, ValueError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)

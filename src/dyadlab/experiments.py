@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .grid import standard_grid
 from .operators import (
     SignSymbol,
-    average_shift,
+    average_shifts,
     hilbert_exact,
     maximal_dyadic,
     named_operator,
@@ -96,6 +96,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not 1 <= self.depth <= 20:
             raise ConfigError("depth must be between 1 and 20 (memory guard)")
+        if self.experiment == "norms" and self.depth < 2:
+            # a depth-1 power sweep has no a2 spread to fit a slope to
+            raise ConfigError("norms needs depth >= 2")
+        try:
+            alphas_ok = all(float(a) > -1.0 for a in self.alphas)
+        except (TypeError, ValueError):
+            alphas_ok = False
+        if not alphas_ok:
+            raise ConfigError("alphas must be a list of power exponents > -1")
         randomized = self.experiment in (
             "norms",
             "average-hilbert",
@@ -290,34 +299,40 @@ def default_bump(mesh: Mesh) -> StepFunction:
 
 
 def run_average_hilbert(cfg: ExperimentConfig) -> dict:
-    """Correlation against the exact transform, and the window-truncation
-    discrepancy: each margin is compared in L2 against the widest-window
-    reconstruction on the same sampled grids (self-comparison)."""
-    mesh = sweep_mesh(cfg.depth)
+    """Correlation against the exact transform of the mean-zero part (what
+    the shift average reconstructs), and the window-truncation discrepancy:
+    each margin is compared in L2 against the widest-window reconstruction
+    on the same sampled grids (self-comparison)."""
     if cfg.signal:
         f = StepFunction.from_csv(cfg.signal, cfg.signal_meta)
     else:
-        f = default_bump(mesh)
-    mids = f.mesh.cell_midpoints()
-    exact = hilbert_exact(f, mids)
-    ref_margin = max(max(cfg.margins) + 2, 8)
+        f = default_bump(sweep_mesh(cfg.depth))
+    exact = hilbert_exact(StepFunction(f.mesh, f.values - f.values.mean()))
+    margins = [int(m) for m in cfg.margins]
+    ref_margin = max(max(margins) + 2, 8)
     rows = []
     for seed in cfg.seeds:
         stream = int(seed) + (cfg.seed or 0)
-        reference = average_shift(f, cfg.samples, stream, margin=ref_margin)
-        for margin in cfg.margins:
-            approx = average_shift(f, cfg.samples, stream, margin=int(margin))
+        approxes = average_shifts(f, cfg.samples, stream, [*margins, ref_margin])
+        reference = approxes[ref_margin]
+        for margin in margins:
+            approx = approxes[margin]
             corr = float(np.corrcoef(approx.values, exact)[0, 1])
             disc = lp_norm(StepFunction(f.mesh, approx.values - reference.values), 2)
             rows.append(
                 {
-                    "margin": int(margin),
+                    "margin": margin,
                     "seed": int(seed),
                     "correlation": corr,
                     "l2_discrepancy": disc,
                 }
             )
-    return {"rows": rows, "samples": cfg.samples, "reference_margin": ref_margin}
+    return {
+        "rows": rows,
+        "samples": cfg.samples,
+        "reference_margin": ref_margin,
+        **mesh_fields(f.mesh),
+    }
 
 
 def run_sparse_dominate(cfg: ExperimentConfig) -> dict:
@@ -432,10 +447,7 @@ def run_haar(cfg: ExperimentConfig) -> dict:
     for level, arr in enumerate(s.levels):
         for pos, c in enumerate(arr):
             rows.append({"level": level, "pos": pos, "coefficient": float(c)})
-    out = {"rows": rows, "mean": s.mean}
-    if grid is not None:
-        out["grid_window"] = [grid.j_min, grid.j_max]
-    return out
+    return {"rows": rows, "mean": s.mean, **mesh_fields(f.mesh)}
 
 
 RUNNERS = {
@@ -450,20 +462,35 @@ RUNNERS = {
 }
 
 
+def mesh_fields(mesh: Mesh) -> dict:
+    """The report's mesh depth and grid window."""
+    return {"mesh_depth": mesh.depth, "grid_window": [mesh.grid.j_min, mesh.grid.j_max]}
+
+
 def run(cfg: ExperimentConfig) -> dict:
-    """Execute the configured experiment and assemble the report envelope."""
+    """Execute the configured experiment and assemble the report envelope.
+
+    The mesh fields default to `sweep_mesh(cfg.depth)`; a runner that reads
+    its mesh from a signal file reports that mesh instead."""
     result = RUNNERS[cfg.experiment](cfg)
-    grid = standard_grid(-2, cfg.depth + 4)
     report = {
         "experiment": cfg.experiment,
         "config": asdict(cfg),
         "config_hash": cfg.config_hash(),
         "version": __version__,
-        "mesh_depth": cfg.depth,
-        "grid_window": [grid.j_min, grid.j_max],
+        **mesh_fields(sweep_mesh(cfg.depth)),
     }
     report.update(result)
     return report
+
+
+def strict_json(obj, **kwargs) -> str:
+    """JSON text of `obj`; a NaN or infinity in it is a numeric failure,
+    never written out as invalid JSON."""
+    try:
+        return json.dumps(obj, allow_nan=False, default=str, **kwargs)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite value in the output: {exc}") from None
 
 
 def rows_to_csv(experiment: str, rows) -> str:
@@ -490,6 +517,7 @@ def write_report(report: dict, cfg: ExperimentConfig) -> list:
 
     if cfg.out is None:
         return []
+    text = strict_json(report, indent=2)
     outdir = pathlib.Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.experiment.replace('-', '_')}_{report['config_hash']}"
@@ -500,6 +528,6 @@ def write_report(report: dict, cfg: ExperimentConfig) -> list:
         written.append(str(path))
     if cfg.fmt in ("json", "both"):
         path = outdir / f"{stem}.json"
-        path.write_text(json.dumps(report, indent=2, default=str))
+        path.write_text(text)
         written.append(str(path))
     return written

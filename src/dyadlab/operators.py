@@ -307,21 +307,35 @@ def hilbert_exact(f: StepFunction, x_points=None) -> np.ndarray:
     """H f at the given points, exactly, for the zero-extended step function.
 
     H f(x) = (1/pi) sum_k f_k log(|x-a_k|/|x-b_k|) over the cells [a_k, b_k),
-    telescoped over the cell edges.  x_points defaults to the cell midpoints,
-    which dodge the log singularities.  Points falling on an edge where f
-    jumps raise SingularPointError; edges with equal values on both sides
-    contribute nothing and are safe.
+    telescoped over the cell edges: (1/pi) sum_k D_k log|x - e_k| with D_k
+    the jump of f at edge e_k.  x_points defaults to the cell midpoints,
+    which dodge the log singularities.  There x_i - e_k = (i - k + 1/2) h,
+    so the sum is a Toeplitz product, evaluated by FFT in O(N log N) time and
+    O(N) memory.  Other points take the dense points x active-edges sum.
+    Points falling on an edge where f jumps raise SingularPointError; edges
+    with equal values on both sides contribute nothing and are safe.
     """
-    if x_points is None:
-        x_points = f.mesh.cell_midpoints()
-    xs = np.asarray(x_points, dtype=float)
-    edges = f.mesh.cell_edges()
     jumps = np.diff(f.values, prepend=0.0, append=0.0)  # length N+1, at edges
+    xs = None if x_points is None else np.asarray(x_points, dtype=float)
+    if xs is None or np.array_equal(xs, f.mesh.cell_midpoints()):
+        return _hilbert_at_midpoints(jumps, f.mesh.cell_length)
+    edges = f.mesh.cell_edges()
     active = jumps != 0.0
     if np.any(np.isin(xs, edges[active])):
         raise SingularPointError("evaluation point coincides with a jump of f")
     logs = np.log(np.abs(xs[:, None] - edges[None, active]))
     return (logs @ jumps[active]) / math.pi
+
+
+def _hilbert_at_midpoints(jumps: np.ndarray, h: float) -> np.ndarray:
+    """(1/pi) sum_k D_k log|(i - k + 1/2) h| for the N cells i and N+1 edges k,
+    as one linear convolution of the jumps with log|m + 1/2|, m = -N..N-1.
+    The convolution has 3N terms, and its entries N..2N-1 alias nothing
+    under a circular product of length 2N."""
+    n = jumps.size - 1
+    kernel = np.log(np.abs(np.arange(-n, n) + 0.5))
+    conv = np.fft.irfft(np.fft.rfft(jumps, 2 * n) * np.fft.rfft(kernel), 2 * n)
+    return (conv[n:] + math.log(h) * jumps.sum()) / math.pi
 
 
 def hilbert_of_indicator(a: float, b: float, xs) -> np.ndarray:
@@ -344,38 +358,54 @@ TRANSFORM_BLOCK_ELEMENTS = 1 << 20
 def average_shift(
     f: StepFunction, n_samples: int, seed: int, margin: int = 6
 ) -> StepFunction:
-    """Monte-Carlo reconstruction of the Hilbert transform from random shifts.
+    """Monte-Carlo reconstruction of the Hilbert transform from random shifts
+    at one window margin: the `margin` entry of `average_shifts`."""
+    return average_shifts(f, n_samples, seed, [margin])[margin]
+
+
+def average_shifts(f: StepFunction, n_samples: int, seed: int, margins) -> dict:
+    """Monte-Carlo reconstructions of the Hilbert transform from random
+    shifts, one per window margin: {margin: StepFunction}.
 
     Averages (8 ln2 / pi) * Sha^{r,beta} applied to the mean-zero part of f
     over sampled grids: with probability-normalized scale sampling (density
     1/(r ln 2) on [1,2)) the expected shift kernel is (x-y)^{-1}/(8 ln 2), so
     the average converges to H of the zero-extended mean-zero part (constants
     map to zero for every sample).  Grids are drawn from the stream
-    (seed, sample_index) on a fixed canonical window, and `margin` selects
-    the generations [j_root - margin, j_cell + margin] entering the sum, so
-    widening the window adds terms on the same sampled grids.  The result is
-    averaged onto the mesh cells exactly.
+    (seed, sample_index) on the canonical window of margin
+    cap = max(margin, CANONICAL_MARGIN_CAP), and a margin selects the
+    generations [j_root - margin, j_cell + margin] entering the sum, so
+    widening the window adds terms on the same sampled grids.  Margins that
+    share a cap therefore share one pass: each sampled grid is drawn once
+    and each of its generations evaluated once, its terms added to every
+    window holding it.  The results are averaged onto the mesh cells exactly.
     """
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     mesh = f.mesh
     fz = StepFunction(mesh, f.values - f.values.mean())
-    j_root = mesh.root.j
-    cap = max(margin, CANONICAL_MARGIN_CAP)
-    jc_lo, jc_hi = j_root - cap, j_root + mesh.depth + cap
-    j_lo, j_hi = j_root - margin, j_root + mesh.depth + margin
-    acc = np.zeros(mesh.n_cells)
-    for idx in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        bits = rng.integers(0, 2, size=jc_hi - jc_lo + 1)
-        r = float(2.0 ** rng.random())
-        shift = 0.0
-        shifts = {}
-        for j in range(jc_hi, jc_lo - 1, -1):
-            shifts[j] = shift
-            shift += float(bits[j - jc_lo]) * 2.0 ** -j
-        acc += shifted_grid_transform(fz, r, shifts, j_lo, j_hi).values
-    return StepFunction(mesh, (HILBERT_RECONSTRUCTION_FACTOR / n_samples) * acc)
+    j_root, j_cell = mesh.root.j, mesh.root.j + mesh.depth
+    groups = {}
+    for margin in sorted(set(margins)):
+        groups.setdefault(max(margin, CANONICAL_MARGIN_CAP), []).append(margin)
+    out = {}
+    for cap, group in groups.items():
+        jc_lo, jc_hi = j_root - cap, j_cell + cap
+        windows = [(j_root - m, j_cell + m) for m in group]
+        acc = np.zeros((len(group), mesh.n_cells))
+        for idx in range(n_samples):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+            bits = rng.integers(0, 2, size=jc_hi - jc_lo + 1)
+            r = float(2.0 ** rng.random())
+            shift = 0.0
+            shifts = {}
+            for j in range(jc_hi, jc_lo - 1, -1):
+                shifts[j] = shift
+                shift += float(bits[j - jc_lo]) * 2.0 ** -j
+            acc += _window_transforms(fz, r, shifts, windows)
+        for margin, values in zip(group, acc):
+            out[margin] = StepFunction(mesh, (HILBERT_RECONSTRUCTION_FACTOR / n_samples) * values)
+    return out
 
 
 def shifted_grid_transform(f: StepFunction, r: float, shifts, j_lo: int, j_hi: int) -> StepFunction:
@@ -395,15 +425,27 @@ def shifted_grid_transform(f: StepFunction, r: float, shifts, j_lo: int, j_hi: i
     Petermichl shift exactly: the deepest coefficient level cell-averages to
     zero, matching the window truncation.
     """
+    return StepFunction(f.mesh, _window_transforms(f, r, shifts, [(j_lo, j_hi)])[0])
+
+
+def _window_transforms(f: StepFunction, r: float, shifts, windows) -> np.ndarray:
+    """`shifted_grid_transform` cell values for each generation window
+    (j_lo, j_hi) in `windows`, one row each.  The generations of all windows
+    are evaluated once, in (generation x edge) blocks of at most
+    TRANSFORM_BLOCK_ELEMENTS elements.  Each window adds up its generations'
+    terms in groups of `step` counted from its own j_lo, in order, so its
+    result is bit for bit that of a call with it alone."""
     mesh = f.mesh
     edges = mesh.cell_edges()
     pref = f.prefix_integrals()
     vals = f.values
     jumps = np.diff(vals, prepend=0.0, append=0.0)
-    gens = np.arange(j_lo, j_hi + 1)
+    g_lo = min(lo for lo, _ in windows)
+    gens = np.arange(g_lo, max(hi for _, hi in windows) + 1)
     ells = r * 2.0 ** -gens.astype(float)
     offs = r * np.array([shifts[int(j)] for j in gens], dtype=float)
-    p_edges = np.zeros(edges.size)
+    p_edges = np.zeros((len(windows), edges.size))
+    block_sums = np.zeros_like(p_edges)
     step = max(1, TRANSFORM_BLOCK_ELEMENTS // edges.size)
     for start in range(0, gens.size, step):
         ell = ells[start : start + step, None]
@@ -420,8 +462,16 @@ def shifted_grid_transform(f: StepFunction, r: float, shifts, j_lo: int, j_hi: i
                 edges, pref, vals, off[:wide, 0], ell[:wide, 0], ke[:wide]
             )
         d[wide:] = jumps * ell[wide:] * np.minimum(t[wide:], 1.0 - t[wide:])
-        p_edges += np.sum(d * phi, axis=0)
-    return StepFunction(mesh, np.diff(p_edges) / mesh.cell_length)
+        d *= phi
+        for j, row in zip(gens[start : start + step], d):
+            for w, (lo, hi) in enumerate(windows):
+                if lo <= j <= hi:
+                    if (j - lo) % step:
+                        block_sums[w] += row
+                    else:
+                        p_edges[w] += block_sums[w]
+                        block_sums[w] = row
+    return np.diff(p_edges + block_sums, axis=1) / mesh.cell_length
 
 
 def _interval_differences(edges, pref, vals, off, ell, ke):

@@ -108,6 +108,54 @@ def test_average_hilbert_experiment():
     assert all(-1.0 <= r["correlation"] <= 1.0 for r in report["rows"])
 
 
+def write_signal(tmp_path, name, values):
+    from dyadlab.signal import StepFunction
+
+    mesh = sweep_mesh(int(np.log2(values.size)))
+    csv_path, meta_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+    StepFunction(mesh, values).to_csv(csv_path, meta_path)
+    return str(csv_path), str(meta_path)
+
+
+def test_average_hilbert_correlates_the_mean_zero_part(tmp_path):
+    # the shift average reconstructs H of f - <f>, so a mean-1 signal must
+    # correlate as well as its zero-mean noise does
+    from dyadlab.operators import average_shift
+    from dyadlab.signal import StepFunction
+
+    noise = np.random.default_rng(7).standard_normal(1 << 10)
+    csv_path, meta_path = write_signal(tmp_path, "offset", noise - noise.mean() + 1.0)
+    cfg = ExperimentConfig(
+        experiment="average-hilbert", signal=csv_path, signal_meta=meta_path,
+        samples=100, seed=3, margins=(3, 6),
+    )
+    report = run(cfg)
+    assert all(r["correlation"] >= 0.95 for r in report["rows"])
+    # against the dense exact transform of the mean-zero part
+    f = StepFunction.from_csv(csv_path, meta_path)
+    edges, mids = f.mesh.cell_edges(), f.mesh.cell_midpoints()
+    jumps = np.diff(f.values - f.values.mean(), prepend=0.0, append=0.0)
+    exact = np.log(np.abs(mids[:, None] - edges[None, :])) @ jumps / math.pi
+    for r in report["rows"]:
+        approx = average_shift(f, 100, 3, r["margin"]).values
+        assert abs(r["correlation"] - np.corrcoef(approx, exact)[0, 1]) <= 1e-12
+
+
+def test_report_mesh_fields_come_from_the_signal(tmp_path):
+    csv_path, meta_path = write_signal(
+        tmp_path, "deep", np.random.default_rng(8).standard_normal(1 << 12)
+    )
+    cfg = ExperimentConfig(
+        experiment="average-hilbert", signal=csv_path, signal_meta=meta_path,
+        samples=2, seed=0, margins=(1,),
+    )
+    assert cfg.depth == 10
+    report = run(cfg)
+    assert report["mesh_depth"] == 12
+    # the signal loader's grid: standard, generations -1..13 around the root [0, 1)
+    assert report["grid_window"] == [-1, 13]
+
+
 def test_sparse_dominate_experiment_family_verifies():
     cfg = ExperimentConfig(experiment="sparse-dominate", depth=7, samples=3, seed=5)
     report = run(cfg)
@@ -189,6 +237,42 @@ def test_cli_exit_codes(tmp_path):
 
     bad_io = run_cli("haar", "--signal", "/nonexistent/sig.csv", "--signal-meta", "/nonexistent/m.json")
     assert bad_io.returncode == 4
+
+
+def strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "dyadlab.cli", *args], capture_output=True, text=True
+    )
+
+
+def test_cli_norms_depth_1_is_a_config_error():
+    # a depth-1 sweep has no slope to fit: it once printed "slope": NaN and exited 0
+    proc = run_cli("norms", "--depth", "1", "--seed", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert strict_loads(proc.stderr)["error"] == "config"
+
+
+def test_cli_alpha_at_most_minus_one_is_a_config_error():
+    proc = run_cli("norms", "--depth", "6", "--alphas", "-1.5", "--seed", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert strict_loads(proc.stderr)["error"] == "config"
+
+
+def test_non_finite_report_is_a_numeric_error(tmp_path):
+    cfg = ExperimentConfig(experiment="norms", depth=4, seed=0, out=str(tmp_path / "out"))
+    report = {"config_hash": cfg.config_hash(), "rows": [], "slope": float("nan")}
+    with pytest.raises(ArithmeticError):
+        write_report(report, cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_writes_outputs(tmp_path):

@@ -15,6 +15,7 @@ from dyadlab.operators import (
     ShiftCoefficients,
     SignSymbol,
     average_shift,
+    average_shifts,
     chung_decomposition,
     commutator_shift,
     dense_matrix,
@@ -415,6 +416,66 @@ def test_hilbert_against_pv_quadrature():
         assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
 
+def hilbert_dense_oracle(f, xs):
+    """(1/pi) sum_k D_k log|x - e_k| over every edge, one dense row per point."""
+    jumps = np.diff(f.values, prepend=0.0, append=0.0)
+    xs = np.asarray(xs, dtype=float)
+    return np.log(np.abs(xs[:, None] - f.mesh.cell_edges()[None, :])) @ jumps / math.pi
+
+
+def test_hilbert_midpoints_fft_matches_dense_oracle():
+    g = standard_grid(-3, 20)
+    roots = {
+        "[0,1)": g.interval(0, 0),
+        "[0,2)": g.interval(-1, 0),
+        "[-3,-2)": g.interval(0, -3),
+    }
+    rng = np.random.default_rng(41)
+    for name, root in roots.items():
+        for depth in range(1, 13):
+            mesh = Mesh(root, depth)
+            n = mesh.n_cells
+            signals = {
+                "noise": rng.standard_normal(n) + 1.0,
+                # equal neighbours: most interior edges carry no jump
+                "blocks": np.repeat(rng.standard_normal(2), n // 2),
+            }
+            for kind, vals in signals.items():
+                f = StepFunction(mesh, vals)
+                got = hilbert_exact(f)
+                want = hilbert_dense_oracle(f, mesh.cell_midpoints())
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= 1e-12, (name, depth, kind, err)
+                # the midpoints passed explicitly take the same path
+                np.testing.assert_array_equal(hilbert_exact(f, mesh.cell_midpoints()), got)
+
+
+def test_hilbert_other_points_stay_dense():
+    mesh = unit_mesh(6)
+    rng = np.random.default_rng(42)
+    f = StepFunction(mesh, np.repeat(rng.standard_normal(8), 8))
+    edges = mesh.cell_edges()
+    jumps = np.diff(f.values, prepend=0.0, append=0.0)
+    active = jumps != 0.0
+    mids = mesh.cell_midpoints()
+    for xs in (mids + mesh.cell_length / 4, mids[::3], np.array([-0.5, 0.3, 1.7])):
+        dense = np.log(np.abs(xs[:, None] - edges[None, active])) @ jumps[active] / math.pi
+        np.testing.assert_array_equal(hilbert_exact(f, xs), dense)
+    with pytest.raises(SingularPointError):
+        hilbert_exact(f, np.r_[mids[:-1], edges[8]])  # as many points as cells, one on a jump
+
+
+def test_hilbert_midpoints_depth_16():
+    # each temporary of the dense midpoint sum would take 2^16 x (2^16 + 1) x 8 B = 34 GB
+    mesh = unit_mesh(16)
+    f = rand_f(mesh, np.random.default_rng(43))
+    got = hilbert_exact(f)
+    assert got.shape == (mesh.n_cells,) and np.all(np.isfinite(got))
+    pick = np.arange(0, mesh.n_cells, 4099)
+    want = hilbert_exact(f, mesh.cell_midpoints()[pick])  # the dense path on a few points
+    assert np.max(np.abs(got[pick] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # -- Petermichl averaging -----------------------------------------------------------
 
 
@@ -448,6 +509,55 @@ def test_average_shift_tracks_hilbert():
     exact = hilbert_exact(f, mids)
     corr = np.corrcoef(approx, exact)[0, 1]
     assert corr >= 0.9
+
+
+def average_shift_per_margin_oracle(f, n_samples, seed, margin):
+    """One grid draw and one `shifted_grid_transform` per sample, for a
+    single margin: the averaging as it stood before margins shared a pass."""
+    from dyadlab.operators import (
+        CANONICAL_MARGIN_CAP,
+        HILBERT_RECONSTRUCTION_FACTOR,
+        shifted_grid_transform,
+    )
+
+    mesh = f.mesh
+    fz = mean_zero_part(f)
+    j_root = mesh.root.j
+    cap = max(margin, CANONICAL_MARGIN_CAP)
+    jc_lo, jc_hi = j_root - cap, j_root + mesh.depth + cap
+    acc = np.zeros(mesh.n_cells)
+    for idx in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+        bits = rng.integers(0, 2, size=jc_hi - jc_lo + 1)
+        r = float(2.0 ** rng.random())
+        shifts, shift = {}, 0.0
+        for j in range(jc_hi, jc_lo - 1, -1):
+            shifts[j] = shift
+            shift += float(bits[j - jc_lo]) * 2.0 ** -j
+        acc += shifted_grid_transform(
+            fz, r, shifts, j_root - margin, j_root + mesh.depth + margin
+        ).values
+    return (HILBERT_RECONSTRUCTION_FACTOR / n_samples) * acc
+
+
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_average_shifts_one_pass_equals_per_margin(monkeypatch, block_rows):
+    # margins 3, 6 and 8 share the canonical window, 11 has its own; with
+    # 5-generation blocks every window spans several blocks, none aligned
+    # with another window's
+    import dyadlab.operators as operators
+
+    mesh = unit_mesh(8)
+    if block_rows:
+        monkeypatch.setattr(operators, "TRANSFORM_BLOCK_ELEMENTS", block_rows * (mesh.n_cells + 1))
+    f = rand_f(mesh, np.random.default_rng(44))
+    together = average_shifts(f, 6, 17, [8, 3, 6, 11])
+    assert sorted(together) == [3, 6, 8, 11]
+    for margin, got in together.items():
+        np.testing.assert_array_equal(got.values, average_shift(f, 6, 17, margin).values)
+        np.testing.assert_array_equal(
+            got.values, average_shift_per_margin_oracle(f, 6, 17, margin)
+        )
 
 
 # -- sparse commutator pieces -------------------------------------------------------
