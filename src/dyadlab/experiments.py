@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .grid import standard_grid
+from .grid import GridParameters, standard_grid
 from .operators import (
     SignSymbol,
     average_shifts,
@@ -26,16 +26,19 @@ from .operators import (
     maximal_dyadic,
     named_operator,
     operator_norm_weighted,
+    sharp_truncation,
     square_norm_weighted,
 )
-from .signal import Mesh, StepFunction, lp_norm
+from .signal import Mesh, StepFunction, analyze, lp_norm
 from .sparse import SparseFamily, lacey_dominate, verify_sparse
 from .weights import (
+    CarlesonSequence,
     Weight,
     a_infty_classical,
     a_infty_fujii_wilson,
     alpha_sequence,
     ap_characteristic,
+    ap_characteristic_report,
     bellman_verify,
     bmo_dyadic_norm,
     carleson_intensity,
@@ -105,6 +108,8 @@ class ExperimentConfig:
             alphas_ok = False
         if not alphas_ok:
             raise ConfigError("alphas must be a list of power exponents > -1")
+        if self.experiment == "norms" and len({float(a) for a in self.alphas}) < 2:
+            raise ConfigError("norms needs at least two distinct alphas to fit a slope")
         randomized = self.experiment in (
             "norms",
             "average-hilbert",
@@ -202,8 +207,6 @@ def _norm_for_operator(cfg: ExperimentConfig, mesh: Mesh, w: Weight, b, sigma):
         return square_norm_weighted(w, iters=cfg.norm_iters, tol=cfg.norm_tol), 1.0
     if name in ("maximal", "sharp"):
         # sublinear: certified lower bound on the near-extremal test function
-        from .operators import sharp_truncation
-
         f = near_extremal_function(w)
         image = (
             maximal_dyadic(f) if name == "maximal" else sharp_truncation(f, sigma)
@@ -220,8 +223,6 @@ def _norm_for_operator(cfg: ExperimentConfig, mesh: Mesh, w: Weight, b, sigma):
 
 def near_extremal_function(w: Weight) -> StepFunction:
     """f = w^{-1} restricted to the characteristic's argmax interval."""
-    from .weights import ap_characteristic_report
-
     rep = ap_characteristic_report(w, 2.0)
     level, pos = rep["argmax_interval"]
     vals = np.zeros(w.mesh.n_cells)
@@ -238,14 +239,8 @@ def weak_type_witness(w: Weight, f: StepFunction) -> float:
     order = np.argsort(g)
     wmass = w.values[order] * mesh.cell_length
     tail = np.cumsum(wmass[::-1])[::-1]
-    levels = g[order]
     # just below each distinct value of g, the superlevel set has the tail mass
-    best = 0.0
-    for i in range(len(levels)):
-        lam = levels[i] * (1 - 1e-12)
-        mass = tail[i]
-        best = max(best, lam * math.sqrt(mass))
-    return best / denom
+    return float(np.max(g[order] * (1 - 1e-12) * np.sqrt(tail))) / denom
 
 
 def run_norms(cfg: ExperimentConfig) -> dict:
@@ -307,8 +302,11 @@ def run_average_hilbert(cfg: ExperimentConfig) -> dict:
         f = StepFunction.from_csv(cfg.signal, cfg.signal_meta)
     else:
         f = default_bump(sweep_mesh(cfg.depth))
-    exact = hilbert_exact(StepFunction(f.mesh, f.values - f.values.mean()))
     margins = [int(m) for m in cfg.margins]
+    if any(2 * m < -f.mesh.depth for m in margins):
+        # the window [j_root - m, j_cell + m] holds no generation
+        raise ConfigError(f"margins must be at least -depth/2 = {-f.mesh.depth / 2:g}")
+    exact = hilbert_exact(StepFunction(f.mesh, f.values - f.values.mean()))
     ref_margin = max(max(margins) + 2, 8)
     rows = []
     for seed in cfg.seeds:
@@ -376,8 +374,6 @@ def run_carleson(cfg: ExperimentConfig) -> dict:
             {"check": "alpha_lemma", "param": float(alpha), "value": mu, "bound": abound, "ok": mu <= abound * (1 + 1e-10)}
         )
     for i in range(cfg.samples):
-        from .weights import CarlesonSequence
-
         seq = CarlesonSequence(
             mesh,
             [rng.uniform(0, 1, 1 << l) * (rng.random(1 << l) < 0.3) for l in range(mesh.depth + 1)],
@@ -432,9 +428,6 @@ def run_ntv(cfg: ExperimentConfig) -> dict:
 
 
 def run_haar(cfg: ExperimentConfig) -> dict:
-    from .grid import GridParameters
-    from .signal import analyze
-
     if not cfg.signal or not cfg.signal_meta:
         raise ConfigError("haar experiment needs signal and signal_meta paths")
     grid = None

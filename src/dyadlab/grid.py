@@ -209,15 +209,6 @@ class DyadicInterval:
         hi = Fraction(self.grid.r) * self.unscaled_right()
         return lo <= Fraction(a) and Fraction(b) <= hi
 
-    def descendants(self, generations_down: int) -> list["DyadicInterval"]:
-        out = [self]
-        for _ in range(generations_down):
-            nxt = []
-            for iv in out:
-                nxt.extend(iv.children())
-            out = nxt
-        return out
-
     def __repr__(self):
         return f"DyadicInterval(j={self.j}, k={self.k}, [{self.left:.6g}, {self.right:.6g}))"
 

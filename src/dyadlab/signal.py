@@ -107,13 +107,6 @@ class StepFunction:
         np.cumsum(self.values * self.mesh.cell_length, out=out[1:])
         return out
 
-    def integrate_range(self, a: float, b: float) -> float:
-        """Exact integral of the zero-extended step function over [a, b)."""
-        edges = self.mesh.cell_edges()
-        pref = self.prefix_integrals()
-        return float(_prefix_at(edges, pref, self.values, np.array([b]))[0]
-                     - _prefix_at(edges, pref, self.values, np.array([a]))[0])
-
     def __add__(self, other):
         return StepFunction(self.mesh, self.values + _coerce(self, other))
 
@@ -168,7 +161,10 @@ class StepFunction:
         vals = np.zeros(mesh.n_cells)
         with open(path) as fh:
             for row in csv.DictReader(fh):
-                vals[int(row["cell_index"])] = float(row["value"])
+                i, v = int(row["cell_index"]), float(row["value"])
+                if not (0 <= i < mesh.n_cells and math.isfinite(v)):
+                    raise ValueError(f"row {i},{v}: need cell_index in [0, {mesh.n_cells}) and a finite value")
+                vals[i] = v
         return cls(mesh, vals)
 
 
@@ -210,11 +206,6 @@ class HaarSpectrum:
         """Sum of squared Haar coefficients (mean term excluded)."""
         return float(sum(float(np.dot(a, a)) for a in self.levels))
 
-    def copy_scaled(self, factors) -> "HaarSpectrum":
-        return HaarSpectrum(
-            self.mesh, self.mean, [a * f for a, f in zip(self.levels, factors)]
-        )
-
 
 def _resolve(mesh: Mesh, where) -> tuple[int, int]:
     if isinstance(where, DyadicInterval):
@@ -246,15 +237,30 @@ def lp_norm(f: StepFunction, p: float, w: StepFunction | None = None) -> float:
     return float(np.sum(np.abs(f.values) ** p * dens) ** (1.0 / p))
 
 
-def means_pyramid(f: StepFunction) -> list[np.ndarray]:
-    """Per-interval averages for levels 0..J; level J is the cell values."""
-    out = [f.values.copy()]
-    cur = f.values
-    for _ in range(f.mesh.depth):
-        cur = cur.reshape(-1, 2).mean(axis=1)
-        out.append(cur)
+def pyramid(values: np.ndarray, reduce) -> list[np.ndarray]:
+    """`reduce` (np.mean, np.min, np.max or np.sum) over every tree interval,
+    levels 0..J, taken pairwise up from the cells; level J is a copy of the
+    cell values."""
+    out = [np.array(values, dtype=float)]
+    while out[-1].size > 1:
+        out.append(reduce(out[-1].reshape(-1, 2), axis=1))
     out.reverse()
     return out
+
+
+def broadcast(levels, combine) -> np.ndarray:
+    """The dual of `pyramid`: push per-level arrays from the coarsest down to
+    the last (finest) one given, cur = combine(repeat(cur, 2), level), with
+    combine np.add or np.maximum."""
+    cur = levels[0]
+    for level in levels[1:]:
+        cur = combine(np.repeat(cur, 2), level)
+    return cur
+
+
+def means_pyramid(f: StepFunction) -> list[np.ndarray]:
+    """Per-interval averages for levels 0..J; level J is the cell values."""
+    return pyramid(f.values, np.mean)
 
 
 def haar_function(mesh: Mesh, where) -> StepFunction:
@@ -284,15 +290,22 @@ def analyze(f: StepFunction) -> HaarSpectrum:
     return HaarSpectrum(mesh, float(cur[0]), levels)
 
 
-def synthesize(s: HaarSpectrum) -> StepFunction:
-    mesh = s.mesh
+def partial_sums(s: HaarSpectrum):
+    """Yield the Haar partial sums of s through levels 0..J-1; the one through
+    level l lives on the 2^(l+1) children of level l, the last on the cells."""
     cur = np.array([s.mean])
-    for level in range(mesh.depth):
-        amp = 1.0 / math.sqrt(mesh.level_length(level))
+    for level, coeffs in enumerate(s.levels):
+        amp = 1.0 / math.sqrt(s.mesh.level_length(level))
         cur = np.repeat(cur, 2)
-        cur[0::2] -= s.levels[level] * amp
-        cur[1::2] += s.levels[level] * amp
-    return StepFunction(mesh, cur)
+        cur[0::2] -= coeffs * amp
+        cur[1::2] += coeffs * amp
+        yield cur
+
+
+def synthesize(s: HaarSpectrum) -> StepFunction:
+    for cells in partial_sums(s):
+        pass
+    return StepFunction(s.mesh, cells)
 
 
 def analyze_direct(f: StepFunction) -> HaarSpectrum:
@@ -309,7 +322,8 @@ def analyze_direct(f: StepFunction) -> HaarSpectrum:
 # -- weighted Haar system --------------------------------------------------
 
 
-def _weight_masses(w: StepFunction, level: int, pos: int):
+def _weighted_amplitudes(w: StepFunction, level: int, pos: int):
+    """(sl, half, a, b): h^w_I is -b on the left half of I and a on the right."""
     sl = w.mesh.cell_slice(level, pos)
     half = (sl.stop - sl.start) // 2
     cl = w.mesh.cell_length
@@ -317,7 +331,8 @@ def _weight_masses(w: StepFunction, level: int, pos: int):
     m_right = float(w.values[sl.start + half : sl.stop].sum() * cl)
     if m_left <= 0.0 or m_right <= 0.0:
         raise DegenerateWeightError("weighted Haar function needs positive mass on both halves")
-    return sl, half, m_left, m_right
+    m = m_left + m_right
+    return sl, half, math.sqrt(m_left / (m * m_right)), math.sqrt(m_right / (m * m_left))
 
 
 def weighted_haar(w: StepFunction, where) -> StepFunction:
@@ -325,10 +340,7 @@ def weighted_haar(w: StepFunction, where) -> StepFunction:
     level, pos = _resolve(w.mesh, where)
     if level >= w.mesh.depth:
         raise ResolutionError("weighted Haar function of a cell is not representable")
-    sl, half, m_left, m_right = _weight_masses(w, level, pos)
-    m = m_left + m_right
-    a = math.sqrt(m_left / (m * m_right))
-    b = math.sqrt(m_right / (m * m_left))
+    sl, half, a, b = _weighted_amplitudes(w, level, pos)
     vals = np.zeros(w.mesh.n_cells)
     vals[sl.start : sl.start + half] = -b
     vals[sl.start + half : sl.stop] = a
@@ -346,10 +358,7 @@ def weighted_decomposition(w: StepFunction, where) -> tuple[float, float]:
     level, pos = _resolve(w.mesh, where)
     if level >= w.mesh.depth:
         raise ResolutionError("decomposition below cell level")
-    _, _, m_left, m_right = _weight_masses(w, level, pos)
-    m = m_left + m_right
-    a = math.sqrt(m_left / (m * m_right))
-    b = math.sqrt(m_right / (m * m_left))
+    _, _, a, b = _weighted_amplitudes(w, level, pos)
     length = w.mesh.level_length(level)
     alpha = 2.0 / (math.sqrt(length) * (a + b))
     beta = (b - a) / (a + b)

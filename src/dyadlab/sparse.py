@@ -19,10 +19,12 @@ from .operators import (
     SignSymbol,
     martingale_transform,
     maximal_dyadic,
-    mean_oscillation,
+    oscillations,
+    positive_dyadic_operator,
     sharp_truncation,
 )
-from .signal import Mesh, StepFunction, means_pyramid
+from .signal import Mesh, StepFunction
+from .weights import CarlesonSequence, carleson_intensity
 
 
 @dataclass
@@ -53,6 +55,12 @@ class SparseFamily:
         return min(
             float(np.sum(self.certificates[m])) / (1 << (self.mesh.depth - m[0]))
             for m in self.members
+        )
+
+    def packing_sequence(self) -> CarlesonSequence:
+        """lambda_Q = |Q| on the members, zero elsewhere."""
+        return CarlesonSequence.from_entries(
+            self.mesh, {m: self.mesh.level_length(m[0]) for m in self.members}
         )
 
     def to_json(self) -> str:
@@ -105,21 +113,13 @@ def _rle_decode(runs, n) -> np.ndarray:
 
 
 def carleson_constant(family: SparseFamily) -> float:
-    """max over tree intervals Q of sum_{P in S, P subset Q} |P| / |Q|.
+    """max over tree intervals Q of sum_{P in S, P subset Q} |P| / |Q|: the
+    intensity of the packing sequence.
 
     Member lengths are dyadic rationals, so the subtree sums are exact in
     binary floating point.
     """
-    mesh = family.mesh
-    levels = [np.zeros(1 << level) for level in range(mesh.depth + 1)]
-    for level, pos in family.members:
-        levels[level][pos] = mesh.level_length(level)
-    sums = levels[mesh.depth]
-    best = float(np.max(sums)) / mesh.level_length(mesh.depth)
-    for level in range(mesh.depth - 1, -1, -1):
-        sums = levels[level] + sums.reshape(-1, 2).sum(axis=1)
-        best = max(best, float(np.max(sums)) / mesh.level_length(level))
-    return best
+    return carleson_intensity(family.packing_sequence())
 
 
 def construct_certificates(family: SparseFamily, lam: float) -> SparseFamily:
@@ -189,17 +189,10 @@ def verify_sparse(family: SparseFamily) -> tuple[bool, dict]:
 
 
 def sparse_operator(family: SparseFamily, f: StepFunction) -> StepFunction:
-    """A_S f = sum_{Q in S} <f>_Q 1_Q."""
-    mesh = family.mesh
-    pyr = means_pyramid(f)
-    per_level = [np.zeros(1 << level) for level in range(mesh.depth + 1)]
-    for level, pos in family.members:
-        per_level[level][pos] = pyr[level][pos]
-    acc = np.zeros(mesh.n_cells)
-    for level, arr in enumerate(per_level):
-        if np.any(arr):
-            acc += np.repeat(arr, 1 << (mesh.depth - level))
-    return StepFunction(mesh, acc)
+    """A_S f = sum_{Q in S} <f>_Q 1_Q: the positive dyadic operator of the
+    packing sequence."""
+    op = positive_dyadic_operator(family.packing_sequence())
+    return StepFunction(family.mesh, op.apply(f.values))
 
 
 # -- Lacey's pointwise domination of the martingale transform -------------------
@@ -327,16 +320,14 @@ def lor_oscillation_check(
     """
     mesh = family.mesh
     budget = budget if budget is not None else 8 * len(family.members) + 128
-    osc = {}
-    for level in range(mesh.depth + 1):
-        for p in range(1 << level):
-            osc[(level, p)] = mean_oscillation(b, (level, p))
+    # osc[l][p] = Omega(b; (l, p))
+    osc = [s / (1 << (mesh.depth - l)) for l, s in enumerate(oscillations(b))]
     enlarged = set(family.members)
     report = {"per_member": {}, "all_met": True, "added": 0}
     for q in family.members:
         added = 0
         while True:
-            ratio, worst_cell = _osc_ratio(mesh, b, enlarged, q)
+            ratio, worst_cell = _osc_ratio(mesh, b, osc, enlarged, q)
             if ratio <= 8.0 + 1e-9 or added >= budget:
                 break
             cand = _best_descendant(mesh, osc, enlarged, q, worst_cell)
@@ -351,7 +342,7 @@ def lor_oscillation_check(
     return report
 
 
-def _osc_ratio(mesh, b, family_set, q):
+def _osc_ratio(mesh, b, osc, family_set, q):
     level, pos = q
     sl = mesh.cell_slice(level, pos)
     lhs = np.abs(b.values[sl] - b.values[sl].mean())
@@ -360,7 +351,7 @@ def _osc_ratio(mesh, b, family_set, q):
         if l < level or (p >> (l - level)) != pos:
             continue
         rsl = mesh.cell_slice(l, p)
-        rhs[rsl.start - sl.start : rsl.stop - sl.start] += mean_oscillation(b, (l, p))
+        rhs[rsl.start - sl.start : rsl.stop - sl.start] += osc[l][p]
     ratios = np.where(lhs <= 1e-15, 0.0, lhs / np.where(rhs > 0, rhs, np.inf))
     worst = int(np.argmax(ratios))
     return float(ratios[worst]), sl.start + worst
@@ -368,12 +359,6 @@ def _osc_ratio(mesh, b, family_set, q):
 
 def _best_descendant(mesh, osc, family_set, q, cell):
     """Largest-oscillation tree interval through `cell` inside q, not yet chosen."""
-    level, _ = q
-    best, best_val = None, 0.0
-    for l in range(level, mesh.depth + 1):
-        key = (l, cell >> (mesh.depth - l))
-        if key in family_set:
-            continue
-        if osc[key] > best_val:
-            best, best_val = key, osc[key]
-    return best
+    path = [(l, cell >> (mesh.depth - l)) for l in range(q[0], mesh.depth + 1)]
+    fresh = [key for key in path if key not in family_set and osc[key[0]][key[1]] > 0.0]
+    return max(fresh, key=lambda key: osc[key[0]][key[1]], default=None)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateWeightError
 from .grid import third_grid
-from .signal import Mesh, StepFunction, _prefix_at, means_pyramid
+from .signal import Mesh, StepFunction, _prefix_at, broadcast, means_pyramid, pyramid
 from . import operators
 
 
@@ -156,9 +156,7 @@ def a_infty_fujii_wilson(w: Weight) -> float:
     cl = mesh.cell_length
     best = 1.0
     for level in range(mesh.depth + 1):
-        running = pyr[level].copy()
-        for lower in range(level + 1, mesh.depth + 1):
-            running = np.maximum(np.repeat(running, 2), pyr[lower])
+        running = broadcast(pyr[level:], np.maximum)
         integrals = running.reshape(1 << level, -1).sum(axis=1) * cl
         masses = pyr[level] * mesh.level_length(level)
         best = max(best, float(np.max(integrals / masses)))
@@ -200,16 +198,11 @@ def bmo_dyadic_norm(b: StepFunction) -> float:
 
 def bmo_weighted_norm(b: StepFunction, mu: Weight) -> float:
     """Weighted oscillation norm sup_I (1/mu(I)) int_I |b - <b>_I|."""
-    mesh = b.mesh
-    best = 0.0
-    for level in range(mesh.depth + 1):
-        for pos in range(1 << level):
-            sl = mesh.cell_slice(level, pos)
-            chunk = b.values[sl]
-            osc = float(np.sum(np.abs(chunk - chunk.mean())) * mesh.cell_length)
-            mass = float(np.sum(mu.values[sl]) * mesh.cell_length)
-            best = max(best, osc / mass)
-    return best
+    cl = b.mesh.cell_length
+    return max(
+        float(np.max(osc * cl / (mu.values.reshape(osc.size, -1).sum(axis=1) * cl)))
+        for osc in operators.oscillations(b)
+    )
 
 
 # -- Carleson sequences ----------------------------------------------------
@@ -247,11 +240,6 @@ class CarlesonSequence:
             sums[level] = self.levels[level] + sums[level + 1].reshape(-1, 2).sum(axis=1)
         return sums
 
-    def scaled(self, factor_levels) -> "CarlesonSequence":
-        return CarlesonSequence(
-            self.mesh, [a * f for a, f in zip(self.levels, factor_levels)]
-        )
-
 
 def carleson_intensity(seq: CarlesonSequence, v: Weight | None = None) -> float:
     """sup_J sum_{I subset J} lambda_I / v(J); v omitted means Lebesgue measure."""
@@ -264,14 +252,19 @@ def carleson_intensity(seq: CarlesonSequence, v: Weight | None = None) -> float:
     return max(float(np.max(s / m)) for s, m in zip(sums, masses))
 
 
+def _coefficient_sequence(mesh: Mesh, term) -> CarlesonSequence:
+    """The sequence with entries term(level) on the coefficient levels
+    0..J-1 and zero on the cells."""
+    return CarlesonSequence(mesh, [*map(term, range(mesh.depth)), np.zeros(mesh.n_cells)])
+
+
 def fkp_sequence(w: Weight) -> CarlesonSequence:
     """{ |Delta_I w / <w>_I|^2 |I| } on the coefficient levels."""
     mesh = w.mesh
     pyr = means_pyramid(w)
-    seq = CarlesonSequence.zeros(mesh)
-    for level in range(mesh.depth):
-        seq.levels[level] = (_deltas(pyr, level) / pyr[level]) ** 2 * mesh.level_length(level)
-    return seq
+    return _coefficient_sequence(
+        mesh, lambda l: (_deltas(pyr, l) / pyr[l]) ** 2 * mesh.level_length(l)
+    )
 
 
 def alpha_sequence(w: Weight, alpha: float) -> CarlesonSequence:
@@ -286,32 +279,29 @@ def alpha_sequence(w: Weight, alpha: float) -> CarlesonSequence:
     mesh = w.mesh
     winv = w.reciprocal()
     pw, pi = means_pyramid(w), means_pyramid(winv)
-    seq = CarlesonSequence.zeros(mesh)
-    for level in range(mesh.depth):
+
+    def term(level):
         pw0, pi0 = pw[level], pi[level]
         ratio2 = (_deltas(pw, level) / pw0) ** 2 + (_deltas(pi, level) / pi0) ** 2
-        seq.levels[level] = (pw0 * pi0) ** alpha * mesh.level_length(level) * ratio2
-    return seq
+        return (pw0 * pi0) ** alpha * mesh.level_length(level) * ratio2
+
+    return _coefficient_sequence(mesh, term)
 
 
 def ntv_alpha_sequence(u_inv: Weight, v: Weight) -> CarlesonSequence:
     """{ (|Delta_I v|/<v>_I) (|Delta_I u^{-1}|/<u^{-1}>_I) |I| }."""
     mesh = v.mesh
     pv, pu = means_pyramid(v), means_pyramid(u_inv)
-    seq = CarlesonSequence.zeros(mesh)
-    for level in range(mesh.depth):
-        seq.levels[level] = (
-            np.abs(_deltas(pv, level)) / pv[level]
-            * np.abs(_deltas(pu, level)) / pu[level]
-            * mesh.level_length(level)
-        )
-    return seq
+    return _coefficient_sequence(
+        mesh,
+        lambda l: np.abs(_deltas(pv, l)) / pv[l] * np.abs(_deltas(pu, l)) / pu[l] * mesh.level_length(l),
+    )
 
 
 def little_lemma_map(seq: CarlesonSequence, w: Weight) -> CarlesonSequence:
     """{ lambda_I / <w^{-1}>_I }: w-Carleson with intensity at most 4x the unit one."""
     pyr = means_pyramid(w.reciprocal())
-    return seq.scaled([1.0 / m for m in pyr])
+    return CarlesonSequence(seq.mesh, [a * (1.0 / m) for a, m in zip(seq.levels, pyr)])
 
 
 def weighted_carleson_check(
@@ -325,12 +315,7 @@ def weighted_carleson_check(
     if np.min(F.values) < 0:
         raise ValueError("F must be nonnegative")
     mesh = seq.mesh
-    mins = [F.values.copy()]
-    cur = F.values
-    for _ in range(mesh.depth):
-        cur = cur.reshape(-1, 2).min(axis=1)
-        mins.append(cur)
-    mins.reverse()
+    mins = pyramid(F.values, np.min)
     lhs = sum(float(np.dot(lam, mn)) for lam, mn in zip(seq.levels, mins))
     A = carleson_intensity(seq, v)
     dens = np.ones(mesh.n_cells) if v is None else v.values
@@ -461,12 +446,8 @@ def ntv_conditions(u: Weight, v: Weight, norm_tol: float = 1e-8, norm_iters: int
     u_inv = u.reciprocal()
     pu, pv = means_pyramid(u_inv), means_pyramid(v)
     joint, _ = _tree_max_product(pu, pv)
-    seq_ii = CarlesonSequence.zeros(mesh)
-    seq_iii = CarlesonSequence.zeros(mesh)
-    for level in range(mesh.depth):
-        ll = mesh.level_length(level)
-        seq_ii.levels[level] = ll * _deltas(pu, level) ** 2 * pv[level]
-        seq_iii.levels[level] = ll * _deltas(pv, level) ** 2 * pu[level]
+    seq_ii = _coefficient_sequence(mesh, lambda l: mesh.level_length(l) * _deltas(pu, l) ** 2 * pv[l])
+    seq_iii = _coefficient_sequence(mesh, lambda l: mesh.level_length(l) * _deltas(pv, l) ** 2 * pu[l])
     alpha_seq = ntv_alpha_sequence(u_inv, v)
     t0 = operators.positive_dyadic_operator(alpha_seq)
     norm = operators.operator_norm_two_weight(

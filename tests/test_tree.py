@@ -1,0 +1,158 @@
+"""The tree primitives (pyramid, broadcast, Haar partial sums) against
+brute-force loops, and every operator handle against its declared adjoint."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from dyadlab.experiments import sweep_mesh, tower_family, weak_type_witness
+from dyadlab.operators import (
+    ShiftCoefficients,
+    SignSymbol,
+    haar_shift,
+    maximal_dyadic,
+    mean_oscillation,
+    named_operator,
+    oscillations,
+    petermichl_adjoint,
+    petermichl_shift,
+)
+from dyadlab.signal import (
+    StepFunction,
+    analyze,
+    broadcast,
+    lp_norm,
+    means_pyramid,
+    partial_sums,
+    pyramid,
+)
+from dyadlab.sparse import SparseFamily, sparse_operator
+from dyadlab.weights import Weight
+
+
+def ancestor(cell, depth, level):
+    return cell >> (depth - level)
+
+
+@pytest.mark.parametrize("reduce", [np.mean, np.min, np.max, np.sum])
+@pytest.mark.parametrize("depth", [1, 2, 5, 9])
+def test_pyramid_matches_reduce_over_each_interval(reduce, depth):
+    # small integers keep every sum and every dyadic mean exact
+    rng = np.random.default_rng(depth)
+    values = rng.integers(-50, 50, 1 << depth).astype(float)
+    levels = pyramid(values, reduce)
+    assert len(levels) == depth + 1
+    for level in range(depth + 1):
+        expected = [
+            reduce(values[[i for i in range(values.size) if ancestor(i, depth, level) == pos]])
+            for pos in range(1 << level)
+        ]
+        assert levels[level].tolist() == expected
+    assert levels[depth] is not values
+
+
+@pytest.mark.parametrize("combine", [np.add, np.maximum])
+@pytest.mark.parametrize("depth", [1, 3, 8])
+def test_broadcast_matches_combine_over_each_cells_ancestors(combine, depth):
+    rng = np.random.default_rng(10 + depth)
+    levels = [rng.standard_normal(1 << l) for l in range(depth + 1)]
+    for finest in range(depth + 1):
+        got = broadcast(levels[: finest + 1], combine)
+        assert got.shape == (1 << finest,)
+        for cell in range(1 << finest):
+            acc = levels[0][0]
+            for level in range(1, finest + 1):
+                acc = combine(acc, levels[level][ancestor(cell, finest, level)])
+            assert got[cell] == acc
+
+
+def test_partial_sums_telescope_to_the_means():
+    mesh = sweep_mesh(7)
+    f = StepFunction(mesh, np.random.default_rng(3).standard_normal(mesh.n_cells))
+    sums = list(partial_sums(analyze(f)))
+    means = means_pyramid(f)
+    assert len(sums) == mesh.depth
+    for level, partial in enumerate(sums):
+        np.testing.assert_allclose(partial, means[level + 1], rtol=1e-12, atol=1e-12)
+
+
+HANDLES = ["martingale", "sha", "shift(1,2)", "paraproduct", "paraproduct_adj", "commutator_sha", "sparse"]
+
+
+@pytest.mark.parametrize("name", HANDLES)
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_handle_adjoint_dot_test(name, depth):
+    """<T f, g> = <f, T* g> on plain L^2 for every named handle."""
+    mesh = sweep_mesh(depth)
+    if name == "shift(1,2)" and depth < 2:
+        with pytest.raises(ValueError):
+            named_operator(name, mesh)
+        return
+    rng = np.random.default_rng(100 * depth + HANDLES.index(name))
+    b = StepFunction(mesh, rng.standard_normal(mesh.n_cells))
+    op = named_operator(
+        name, mesh, sigma=SignSymbol.random(mesh, rng), b=b, family=tower_family(mesh)
+    )
+    f, g = rng.standard_normal(mesh.n_cells), rng.standard_normal(mesh.n_cells)
+    tf, tg = op.apply(f), op.adjoint(g)
+    lhs, rhs = float(np.dot(tf, g)), float(np.dot(f, tg))
+    scale = np.linalg.norm(tf) * np.linalg.norm(g) + np.linalg.norm(f) * np.linalg.norm(tg)
+    assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
+
+
+def test_sha_on_a_depth_one_mesh_is_zero():
+    mesh = sweep_mesh(1)
+    f = StepFunction(mesh, [3.0, -1.0])
+    assert not np.any(petermichl_shift(f).values)
+    assert not np.any(petermichl_adjoint(f).values)
+    op = named_operator("sha", mesh)
+    assert not np.any(op.apply(f.values)) and not np.any(op.adjoint(f.values))
+
+
+def test_shift_complexity_equal_to_depth_has_no_tables():
+    mesh = sweep_mesh(2)
+    coeffs = ShiftCoefficients.random(mesh, 1, 2, np.random.default_rng(0))
+    assert coeffs.tables == []
+    f = StepFunction(mesh, [1.0, 4.0, -2.0, 0.5])
+    assert not np.any(haar_shift(f, coeffs).values)
+    with pytest.raises(ValueError):
+        ShiftCoefficients.random(sweep_mesh(1), 1, 2, np.random.default_rng(0))
+
+
+def test_oscillations_match_mean_oscillation():
+    mesh = sweep_mesh(6)
+    b = StepFunction(mesh, np.random.default_rng(4).standard_normal(mesh.n_cells))
+    for level, sums in enumerate(oscillations(b)):
+        cells = 1 << (mesh.depth - level)
+        for pos in range(1 << level):
+            assert sums[pos] / cells == mean_oscillation(b, (level, pos))
+
+
+def test_weak_type_witness_matches_the_superlevel_loop():
+    mesh = sweep_mesh(8)
+    rng = np.random.default_rng(6)
+    w = Weight(mesh, np.exp(rng.uniform(-2, 2, mesh.n_cells)))
+    f = StepFunction(mesh, rng.standard_normal(mesh.n_cells))
+    g = maximal_dyadic(f).values
+    order = np.argsort(g)
+    tail = np.cumsum((w.values[order] * mesh.cell_length)[::-1])[::-1]
+    best = 0.0
+    for i in range(g.size):
+        best = max(best, g[order][i] * (1 - 1e-12) * math.sqrt(tail[i]))
+    assert weak_type_witness(w, f) == best / lp_norm(f, 2, w)
+
+
+def test_sparse_operator_matches_the_member_loop():
+    mesh = sweep_mesh(7)
+    rng = np.random.default_rng(8)
+    members = [(l, p) for l in range(mesh.depth + 1) for p in range(1 << l) if rng.random() < 0.2]
+    family = SparseFamily(mesh, members)
+    f = StepFunction(mesh, rng.standard_normal(mesh.n_cells))
+    expected = np.zeros(mesh.n_cells)
+    for level, pos in sorted(members):
+        sl = mesh.cell_slice(level, pos)
+        expected[sl] += means_pyramid(f)[level][pos]
+    assert np.array_equal(sparse_operator(family, f).values, expected)
