@@ -19,8 +19,14 @@ from .errors import (
 from .experiments import EXPERIMENTS, ExperimentConfig, run, strict_json, write_report
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a flag that does not parse is a config error, in strict JSON
+        print(json.dumps({"error": "config", "message": message}), file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyadlab",
         description="Numerical laboratory for dyadic harmonic analysis",
     )

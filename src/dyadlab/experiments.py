@@ -29,7 +29,7 @@ from .operators import (
     sharp_truncation,
     square_norm_weighted,
 )
-from .signal import Mesh, StepFunction, analyze, lp_norm
+from .signal import MAX_DEPTH, Mesh, StepFunction, analyze, lp_norm
 from .sparse import SparseFamily, lacey_dominate, verify_sparse
 from .weights import (
     CarlesonSequence,
@@ -97,8 +97,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if not 1 <= self.depth <= 20:
-            raise ConfigError("depth must be between 1 and 20 (memory guard)")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"depth must be between 1 and {MAX_DEPTH} (memory guard)")
         if self.experiment == "norms" and self.depth < 2:
             # a depth-1 power sweep has no a2 spread to fit a slope to
             raise ConfigError("norms needs depth >= 2")
@@ -164,18 +164,12 @@ def tower_family(mesh: Mesh) -> SparseFamily:
     """The left-spine tower {[0, 2^-l)}: a 1/2-sparse family aligned with the
     power-weight singularity (certificates: right halves, plus the last cell)."""
     members = [(level, 0) for level in range(mesh.depth + 1)]
-    certs = {}
+    owner = np.full(mesh.n_cells, -1)
     for level in range(mesh.depth):
         width = 1 << (mesh.depth - level)
-        mask = np.zeros(mesh.n_cells, dtype=bool)
-        mask[width // 2 : width] = True
-        certs[(level, 0)] = mask
-    last = np.zeros(mesh.n_cells, dtype=bool)
-    last[0] = True
-    certs[(mesh.depth, 0)] = last
-    fam = SparseFamily(mesh, members, certs, eta=None)
-    fam.eta = fam.measured_eta()
-    return fam
+        owner[width // 2 : width] = level
+    owner[0] = mesh.depth
+    return SparseFamily(mesh, members, owner)
 
 
 @dataclass
@@ -315,6 +309,8 @@ def run_average_hilbert(cfg: ExperimentConfig) -> dict:
         reference = approxes[ref_margin]
         for margin in margins:
             approx = approxes[margin]
+            if np.ptp(approx.values) == 0.0 or np.ptp(exact) == 0.0:
+                raise FloatingPointError(f"correlation undefined at margin {margin}: a transform is constant")
             corr = float(np.corrcoef(approx.values, exact)[0, 1])
             disc = lp_norm(StepFunction(f.mesh, approx.values - reference.values), 2)
             rows.append(

@@ -35,6 +35,8 @@ class QuasiMetricCloud:
         if self.mass is None:
             self.mass = np.ones(n)
         self.mass = np.asarray(self.mass, dtype=float)
+        if n == 0 or not (np.all(np.isfinite(self.dist)) and np.all(np.isfinite(self.mass))):
+            raise ValueError("a cloud needs at least one point, finite distances and finite masses")
         if np.min(self.mass) <= 0:
             raise DegenerateWeightError("point masses must be positive")
 
@@ -73,8 +75,13 @@ class QuasiMetricCloud:
         """Load `id,x,y[,mass]` rows (Euclidean) or `id_i,id_j,distance` edges."""
         with open(path) as fh:
             rows = list(csv.reader(fh))
-        header = [h.strip().lower() for h in rows[0]]
+        header = [h.strip().lower() for h in rows[0]] if rows else []
         body = rows[1:]
+        if header[:3] not in (["id", "x", "y"], ["id_i", "id_j", "distance"]):
+            raise ValueError("unrecognized cloud CSV header")
+        width = 3 if header[0] == "id_i" else min(len(header), 4)
+        if not body or any(len(r) < width for r in body):
+            raise ValueError(f"a cloud CSV needs data rows of {width} fields under its header")
         if header[:3] == ["id", "x", "y"]:
             order = np.argsort([int(r[0]) for r in body])
             xy = np.array([[float(body[i][1]), float(body[i][2])] for i in order])
@@ -84,18 +91,16 @@ class QuasiMetricCloud:
                 else None
             )
             return cls.from_points(xy, mass)
-        if header[:3] == ["id_i", "id_j", "distance"]:
-            ids = sorted({int(r[0]) for r in body} | {int(r[1]) for r in body})
-            index = {pid: k for k, pid in enumerate(ids)}
-            n = len(ids)
-            dist = np.zeros((n, n))
-            for r in body:
-                i, j, dv = index[int(r[0])], index[int(r[1])], float(r[2])
-                dist[i, j] = dist[j, i] = dv
-            cloud = cls(dist, np.ones(n), A0=1.0)
-            cloud.A0 = cloud.validate()["quasi_triangle_constant"]
-            return cloud
-        raise ValueError("unrecognized cloud CSV header")
+        ids = sorted({int(r[0]) for r in body} | {int(r[1]) for r in body})
+        index = {pid: k for k, pid in enumerate(ids)}
+        n = len(ids)
+        dist = np.zeros((n, n))
+        for r in body:
+            i, j, dv = index[int(r[0])], index[int(r[1])], float(r[2])
+            dist[i, j] = dist[j, i] = dv
+        cloud = cls(dist, np.ones(n), A0=1.0)
+        cloud.A0 = cloud.validate()["quasi_triangle_constant"]
+        return cloud
 
 
 def lattice_cloud(n_points: int, metric: str = "euclidean") -> QuasiMetricCloud:

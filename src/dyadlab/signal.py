@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DegenerateWeightError, MeshMismatchError, ResolutionError
 from .grid import DyadicInterval, GridParameters, standard_grid
 
+MAX_DEPTH = 20  # 2^20 cells: the largest mesh a config or a signal file may ask for
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -142,8 +144,12 @@ class StepFunction:
         grid), using the side file's root_left and length."""
         with open(meta_path) as fh:
             meta = json.load(fh)
-        left, right = float(meta["root_left"]), float(meta["root_right"])
-        depth = int(meta["depth"])
+        try:
+            left, right, depth = float(meta["root_left"]), float(meta["root_right"]), int(meta["depth"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"signal side file needs numeric root_left, root_right and depth: {exc!r}") from None
+        if not 1 <= depth <= MAX_DEPTH:
+            raise ValueError(f"signal depth must be between 1 and {MAX_DEPTH} (memory guard)")
         length = right - left
         if grid is None:
             j_root = round(-math.log2(length))
@@ -160,7 +166,10 @@ class StepFunction:
         mesh = Mesh(root, depth)
         vals = np.zeros(mesh.n_cells)
         with open(path) as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh, restval="nan")  # a short row fails the finite check
+            if not {"cell_index", "value"} <= set(reader.fieldnames or ()):
+                raise ValueError("signal CSV needs a cell_index and a value column")
+            for row in reader:
                 i, v = int(row["cell_index"]), float(row["value"])
                 if not (0 <= i < mesh.n_cells and math.isfinite(v)):
                     raise ValueError(f"row {i},{v}: need cell_index in [0, {mesh.n_cells}) and a finite value")

@@ -2,15 +2,17 @@
 sparseness, sparse operators, and pointwise sparse domination of the
 martingale transform.
 
-Certificates are sets of mesh cells: E_Q is stored as a boolean mask over the
-N cells, so disjointness and mass checks are exact lattice computations.
+Certificates are sets of mesh cells: the sets E_Q are disjoint, so one owner
+array holds them all, the index of the member whose E_Q contains each cell,
+or -1 for a free cell.  Disjointness holds by construction, and the mass and
+containment checks are exact lattice computations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .operators import (
     positive_dyadic_operator,
     sharp_truncation,
 )
-from .signal import Mesh, StepFunction
+from .signal import Mesh, StepFunction, pyramid
 from .weights import CarlesonSequence, carleson_intensity
 
 
@@ -31,13 +33,15 @@ from .weights import CarlesonSequence, carleson_intensity
 class SparseFamily:
     """A finite set of mesh intervals with optional disjoint-set certificates.
 
-    members are (level, pos) addresses; certificates maps a member to the
-    boolean cell mask of its set E_Q; eta is the claimed sparseness.
+    members are (level, pos) addresses; owner is the int array over the N
+    cells holding the index in members of the member whose set E_Q contains
+    the cell, or -1 for a free cell (None: no certificates); eta is the
+    claimed sparseness, by default the measured one when owner is given.
     """
 
     mesh: Mesh
     members: list[tuple[int, int]]
-    certificates: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    owner: np.ndarray | None = None
     eta: float | None = None
 
     def __post_init__(self):
@@ -48,14 +52,27 @@ class SparseFamily:
             if (level, pos) in seen:
                 raise ValueError(f"duplicate member ({level},{pos})")
             seen.add((level, pos))
+        if self.owner is not None and self.eta is None:
+            self.eta = self.measured_eta()
+
+    @property
+    def certificates(self) -> dict[tuple[int, int], np.ndarray]:
+        """Read-only view: each member's boolean cell mask of E_Q."""
+        if self.owner is None:
+            return {}
+        return {m: self.owner == i for i, m in enumerate(self.members)}
+
+    def _cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cells of E_Q, cells of Q) per member, in member order."""
+        levels = np.array([level for level, _ in self.members], dtype=np.int64)
+        mass = np.bincount(self.owner[self.owner >= 0], minlength=len(self.members))
+        return mass, np.left_shift(1, self.mesh.depth - levels)
 
     def measured_eta(self) -> float:
-        if not self.certificates:
+        if self.owner is None:
             raise ValueError("no certificates present")
-        return min(
-            float(np.sum(self.certificates[m])) / (1 << (self.mesh.depth - m[0]))
-            for m in self.members
-        )
+        mass, width = self._cell_counts()
+        return float(np.min(mass / width))
 
     def packing_sequence(self) -> CarlesonSequence:
         """lambda_Q = |Q| on the members, zero elsewhere."""
@@ -65,17 +82,20 @@ class SparseFamily:
 
     def to_json(self) -> str:
         """Members as absolute grid addresses {generation, index} plus
-        run-length-encoded certificate cell ranges."""
-        rows = []
-        for level, pos in self.members:
-            row = {
-                "generation": self.mesh.root.j + level,
-                "index": self.mesh.first_index(level) + pos,
-            }
-            mask = self.certificates.get((level, pos))
-            if mask is not None:
-                row["certificate_cells"] = _rle_encode(mask)
-            rows.append(row)
+        run-length-encoded certificate cell ranges [start, stop)."""
+        rows = [
+            {"generation": self.mesh.root.j + level, "index": self.mesh.first_index(level) + pos}
+            for level, pos in self.members
+        ]
+        if self.owner is not None:
+            for row in rows:
+                row["certificate_cells"] = []
+            # a run is a maximal stretch of cells with one owner
+            starts = np.r_[0, np.flatnonzero(np.diff(self.owner)) + 1]
+            stops = np.r_[starts[1:], self.owner.size]
+            for i, a, b in zip(self.owner[starts].tolist(), starts.tolist(), stops.tolist()):
+                if i >= 0:
+                    rows[i]["certificate_cells"].append([a, b])
         return json.dumps({"depth": self.mesh.depth, "eta": self.eta, "members": rows})
 
     @classmethod
@@ -83,33 +103,21 @@ class SparseFamily:
         d = json.loads(text)
         if d["depth"] != mesh.depth:
             raise ValueError("mesh depth mismatch")
-        members, certs = [], {}
-        for row in d["members"]:
+        members, owner = [], None
+        for i, row in enumerate(d["members"]):
             level = int(row["generation"]) - mesh.root.j
             if not 0 <= level <= mesh.depth:
                 raise ResolutionError(f"generation {row['generation']} off the mesh")
-            key = (level, int(row["index"]) - mesh.first_index(level))
-            members.append(key)
+            members.append((level, int(row["index"]) - mesh.first_index(level)))
             if "certificate_cells" in row:
-                certs[key] = _rle_decode(row["certificate_cells"], mesh.n_cells)
-        return cls(mesh, members, certs, d.get("eta"))
-
-
-def _rle_encode(mask: np.ndarray) -> list[list[int]]:
-    runs = []
-    for i in np.flatnonzero(mask):
-        if runs and runs[-1][1] == i:
-            runs[-1][1] = int(i) + 1
-        else:
-            runs.append([int(i), int(i) + 1])
-    return runs
-
-
-def _rle_decode(runs, n) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    for a, b in runs:
-        mask[a:b] = True
-    return mask
+                if owner is None:
+                    owner = np.full(mesh.n_cells, -1)
+                for a, b in row["certificate_cells"]:
+                    a, b = int(a), int(b)
+                    if not 0 <= a <= b <= mesh.n_cells or np.any(owner[a:b] >= 0):
+                        raise ValueError(f"certificate run [{a}, {b}) leaves the mesh or overlaps an earlier run")
+                    owner[a:b] = i
+        return cls(mesh, members, owner, d.get("eta"))
 
 
 def carleson_constant(family: SparseFamily) -> float:
@@ -133,9 +141,9 @@ def construct_certificates(family: SparseFamily, lam: float) -> SparseFamily:
     mesh = family.mesh
     if lam < 1.0:
         raise InfeasibleError("Lambda must be at least 1")
-    taken = np.zeros(mesh.n_cells, dtype=bool)
-    certs = {}
-    for level, pos in sorted(family.members, key=lambda m: -m[0]):
+    owner = np.full(mesh.n_cells, -1)
+    for i in sorted(range(len(family.members)), key=lambda i: -family.members[i][0]):
+        level, pos = family.members[i]
         width = 1 << (mesh.depth - level)
         target = int(math.floor(width / lam + 1e-9))
         if target == 0:
@@ -143,48 +151,30 @@ def construct_certificates(family: SparseFamily, lam: float) -> SparseFamily:
                 f"|Q|/Lambda below one cell for member ({level},{pos}); refine the mesh"
             )
         sl = mesh.cell_slice(level, pos)
-        free = np.flatnonzero(~taken[sl])
+        free = np.flatnonzero(owner[sl] < 0)
         if free.size < target:
             raise InfeasibleError(
                 f"not enough free mass in ({level},{pos}); Lambda={lam} is below "
                 "the Carleson constant of the family"
             )
-        chosen = free[:target] + sl.start
-        mask = np.zeros(mesh.n_cells, dtype=bool)
-        mask[chosen] = True
-        taken[chosen] = True
-        certs[(level, pos)] = mask
-    out = SparseFamily(mesh, list(family.members), certs, eta=None)
-    out.eta = out.measured_eta()
-    return out
+        owner[free[:target] + sl.start] = i
+    return SparseFamily(mesh, list(family.members), owner)
 
 
 def verify_sparse(family: SparseFamily) -> tuple[bool, dict]:
-    """Exact check of the certificate invariants on the cell lattice."""
-    if not family.certificates:
+    """Exact check of the certificate invariants on the cell lattice: each
+    E_Q lies inside Q and holds at least eta|Q| of its cells."""
+    if family.owner is None:
         return (False, {"ok": False, "violations": ["no certificates"]})
-    mesh = family.mesh
-    violations = []
-    owner = np.full(mesh.n_cells, -1)
     eta = family.eta if family.eta is not None else family.measured_eta()
-    for i, key in enumerate(family.members):
-        mask = family.certificates.get(key)
-        if mask is None:
-            violations.append(("missing certificate", key))
-            continue
-        level, pos = key
-        sl = mesh.cell_slice(level, pos)
-        cells = np.flatnonzero(mask)
-        if cells.size and (cells.min() < sl.start or cells.max() >= sl.stop):
-            violations.append(("E_Q not inside Q", key))
-        clash = np.flatnonzero(mask & (owner >= 0))
-        if clash.size:
-            violations.append(
-                ("overlap", key, family.members[int(owner[clash[0]])], int(clash[0]))
-            )
-        owner[mask] = i
-        if mask.sum() < eta * (1 << (mesh.depth - level)) - 1e-9:
-            violations.append(("mass below eta|Q|", key))
+    level, pos = np.array(family.members, dtype=np.int64).reshape(-1, 2).T
+    cells = np.flatnonzero(family.owner >= 0)
+    who = family.owner[cells]
+    outside = np.unique(who[(cells >> (family.mesh.depth - level[who])) != pos[who]])
+    mass, width = family._cell_counts()
+    light = np.flatnonzero(mass < eta * width - 1e-9)
+    violations = [("E_Q not inside Q", family.members[i]) for i in outside]
+    violations += [("mass below eta|Q|", family.members[i]) for i in light]
     return (not violations, {"ok": not violations, "violations": violations, "eta": eta})
 
 
@@ -250,7 +240,7 @@ def lacey_dominate(
 def _lacey_build(floc: StepFunction, sigma: SignSymbol, top, c0) -> SparseFamily:
     mesh = floc.mesh
     members: list[tuple[int, int]] = []
-    certificates: dict[tuple[int, int], np.ndarray] = {}
+    owner = np.full(mesh.n_cells, -1)
     stack = [top]
     while stack:
         level, pos = stack.pop()
@@ -270,37 +260,29 @@ def _lacey_build(floc: StepFunction, sigma: SignSymbol, top, c0) -> SparseFamily
             raise CalibrationError(
                 f"stopping set exceeds half of ({level},{pos}) at C0={c0}"
             )
+        owner[sl][~stopping] = len(members)
         members.append((level, pos))
-        mask = np.zeros(mesh.n_cells, dtype=bool)
-        mask[sl] = ~stopping
-        certificates[(level, pos)] = mask
         stack.extend(_maximal_intervals(mesh, level, pos, stopping))
-    family = SparseFamily(mesh, members, certificates, eta=None)
-    family.eta = family.measured_eta()
-    return family
+    return SparseFamily(mesh, members, owner)
 
 
 def _maximal_intervals(mesh: Mesh, level: int, pos: int, stopping: np.ndarray):
-    """Maximal dyadic subintervals of (level,pos) fully inside the stopping set.
+    """Maximal dyadic subintervals of (level,pos) fully inside the stopping set,
+    left to right.
 
     `stopping` is the boolean cell mask relative to the interval; returned
-    addresses are absolute tree positions.  The mask is a union of cells, so
-    these maximal intervals cover it exactly.
+    addresses are absolute tree positions.  An interval is inside the set
+    when its min over the mask is 1, and maximal when its parent's min is 0.
+    The mask is a union of cells, so these maximal intervals cover it exactly.
     """
+    mins = pyramid(stopping, np.min)
     out = []
-
-    def recurse(l, p, lo, hi):
-        if not stopping[lo:hi].any():
-            return
-        if stopping[lo:hi].all():
-            out.append((l, p))
-            return
-        mid = (lo + hi) // 2
-        recurse(l + 1, 2 * p, lo, mid)
-        recurse(l + 1, 2 * p + 1, mid, hi)
-
-    recurse(level, pos, 0, 1 << (mesh.depth - level))
-    return out
+    for k, m in enumerate(mins):
+        top = m == 1
+        if k:
+            top &= np.repeat(mins[k - 1] == 0, 2)
+        out += [(level + k, (pos << k) + int(p)) for p in np.flatnonzero(top)]
+    return sorted(out, key=lambda m: m[1] << (mesh.depth - m[0]))
 
 
 # -- oscillation-domination probe ------------------------------------------------

@@ -1,15 +1,19 @@
-"""Bad input through `dyadlab.cli.main`: signal rows, margins and alphas are
-config errors (exit 2) with a strict-JSON message, never a traceback or NaN."""
+"""Bad input through `dyadlab.cli.main`: signal and cloud files, margins and
+alphas are config errors (exit 2) with a strict-JSON message, never a
+traceback or NaN; a fuzz test drives every experiment with arbitrary flags."""
 
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dyadlab.cli import main
-from dyadlab.experiments import sweep_mesh
+from dyadlab.experiments import EXPERIMENTS, sweep_mesh
 from dyadlab.signal import StepFunction
 
 
@@ -70,3 +74,130 @@ def test_margin_is_checked_against_the_signal_files_depth(tmp_path, capsys):
 def test_norms_needs_two_distinct_alphas(capsys, alphas):
     # a one-point fit once printed "slope": 0.0848
     assert_config_error(capsys, ["norms", "--depth", "6", "--alphas", alphas, "--seed", "0"])
+
+
+def test_signal_csv_without_value_column_is_a_config_error(tmp_path, capsys):
+    files = write_signal(tmp_path, 2, [])
+    (tmp_path / "sig.csv").write_text("cell_index,val\n0,1.0\n")
+    assert_config_error(capsys, ["haar", *files])
+
+
+def test_signal_side_file_without_depth_is_a_config_error(tmp_path, capsys):
+    files = write_signal(tmp_path, 2, [(0, "1.0")])
+    (tmp_path / "sig.json").write_text('{"root_left": 0.0, "root_right": 1.0}')
+    assert_config_error(capsys, ["haar", *files])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["id,x,y\n0,0.5,0.5\n1,0.25\n", "id,x,y\n", "id,x,y\n0,nan,0.5\n1,0.25,0.75\n"],
+    ids=["short-row", "header-only", "nan-coordinate"],
+)
+def test_bad_cloud_file_is_a_config_error(tmp_path, capsys, text):
+    # once: IndexError (exit 1), a report of n_points 1 (exit 0), exit 0 on nan
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(text)
+    assert_config_error(capsys, ["sht", "--cloud", str(cloud)])
+
+
+def test_unparsable_flag_is_a_strict_json_config_error(capsys):
+    # argparse once printed its usage text
+    with pytest.raises(SystemExit) as exc:
+        main(["average-hilbert", "--margins", "-4,-3"])
+    assert exc.value.code == 2
+    assert strict_loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_constant_reconstruction_is_a_numeric_error(tmp_path, capsys):
+    # a depth-1 mesh at margin 0: np.corrcoef once warned and returned nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["average-hilbert", "--depth", "1", "--samples", "1", "--seed", "0", "--margins", "0",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    assert strict_loads(capsys.readouterr().err)["error"] == "numeric"
+
+
+# -- fuzzing the command line -------------------------------------------------------
+
+SIGNALS = {
+    "good": ("cell_index,value\n0,1.0\n5,-2.0\n", {"root_left": 0.0, "root_right": 1.0, "depth": 3}),
+    "renamed-column": ("cell_index,val\n0,1.0\n", {"root_left": 0.0, "root_right": 1.0, "depth": 3}),
+    "short-row": ("cell_index,value\n0\n", {"root_left": 0.0, "root_right": 1.0, "depth": 3}),
+    "index-past-end": ("cell_index,value\n8,1.0\n", {"root_left": 0.0, "root_right": 1.0, "depth": 3}),
+    "no-depth": ("cell_index,value\n0,1.0\n", {"root_left": 0.0, "root_right": 1.0}),
+    "too-deep": ("cell_index,value\n0,1.0\n", {"root_left": 0.0, "root_right": 1.0, "depth": 40}),
+    "meta-not-an-object": ("cell_index,value\n0,1.0\n", [0.0, 1.0, 3]),
+    "empty-root": ("cell_index,value\n0,1.0\n", {"root_left": 1.0, "root_right": 1.0, "depth": 3}),
+}
+CLOUDS = {
+    "points": "id,x,y\n0,0.1,0.2\n1,0.7,0.4\n2,0.5,0.9\n3,0.3,0.6\n",
+    "weighted": "id,x,y,mass\n0,0.1,0.2,1\n1,0.7,0.4,2\n2,0.5,0.9,0.5\n",
+    "edges": "id_i,id_j,distance\n0,1,1.0\n1,2,1.0\n0,2,2.0\n",
+    "short-row": "id,x,y\n0,0.1,0.2\n1,0.7\n",
+    "header-only": "id,x,y\n",
+    "nan": "id,x,y\n0,nan,0.2\n1,0.7,0.4\n",
+    "short-edge": "id_i,id_j,distance\n0,1\n",
+    "zero-mass": "id,x,y,mass\n0,0.1,0.2,0\n1,0.7,0.4,1\n",
+    "empty": "",
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    signals = {}
+    for name, (rows, meta) in SIGNALS.items():
+        (root / f"{name}.csv").write_text(rows)
+        (root / f"{name}.json").write_text(json.dumps(meta))
+        signals[name] = ["--signal", str(root / f"{name}.csv"), "--signal-meta", str(root / f"{name}.json")]
+    signals["missing-file"] = ["--signal", str(root / "absent.csv"), "--signal-meta", str(root / "absent.json")]
+    clouds = {}
+    for name, text in CLOUDS.items():
+        (root / f"cloud-{name}.csv").write_text(text)
+        clouds[name] = ["--cloud", str(root / f"cloud-{name}.csv")]
+    clouds["missing-file"] = ["--cloud", str(root / "absent.csv")]
+    (root / "a-file").write_text("")
+    outs = {"none": [], "dir": ["--out", str(root / "out")], "file": ["--out", str(root / "a-file")]}
+    return signals, clouds, outs
+
+
+def flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+NUMBERS = st.text(alphabet="0123456789.,-e", max_size=10) | st.sampled_from(["nan", "inf", "1e308", "0.5,1.5"])
+FUZZ_FLAGS = st.tuples(
+    st.sampled_from(EXPERIMENTS).map(lambda e: [e]),
+    flag("--depth", st.integers(-1, 6)),
+    flag("--samples", st.integers(-1, 3)),
+    flag("--seed", st.integers(-2, 2 ** 40)),
+    flag("--operator", st.sampled_from(["martingale", "sha", "square", "shift(1,2)", "shift(9,9)", "sparse",
+                                        "paraproduct", "commutator_sha", "maximal", "nope", "shift(1)"])),
+    flag("--alphas", NUMBERS),
+    flag("--margins", NUMBERS),
+    flag("--delta", st.sampled_from(["0.5", "0.9", "0", "-1", "2", "nan"])),
+    flag("--format", st.sampled_from(["csv", "json", "both"])),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(FUZZ_FLAGS, st.data())
+def test_cli_fuzz_exit_codes_and_strict_json(input_files, capsys, parts, data):
+    signals, clouds, outs = input_files
+    argv = [token for part in parts for token in part]
+    argv += data.draw(st.sampled_from([[], *signals.values()]), label="signal")
+    argv += data.draw(st.sampled_from([[], *clouds.values()]), label="cloud")
+    argv += data.draw(st.sampled_from(list(outs.values())), label="out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr as plain text
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    for line in (out + err).splitlines():
+        strict_loads(line)
+    assert (out if code == 0 else err).strip(), argv

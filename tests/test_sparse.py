@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dyadlab.operators import SignSymbol
 from dyadlab.signal import Mesh, StepFunction, inner
 from dyadlab.sparse import (
     SparseFamily,
+    _maximal_intervals,
     carleson_constant,
     construct_certificates,
     lacey_dominate,
@@ -123,25 +126,39 @@ def test_verify_sparse_detects_tampering():
     fam = construct_certificates(SparseFamily(mesh, [(0, 0), (1, 0), (1, 1)]), 2.0)
     ok, _ = verify_sparse(fam)
     assert ok
-    # overlap one cell between two certificates
-    k0 = int(np.flatnonzero(fam.certificates[(1, 0)])[0])
-    fam.certificates[(0, 0)][k0] = True
-    ok, report = verify_sparse(fam)
+    # give a cell of (1, 0) to the root: (1, 0) drops below eta|Q|
+    light = fam.owner.copy()
+    light[np.flatnonzero(light == 1)[0]] = 0
+    ok, report = verify_sparse(SparseFamily(mesh, fam.members, light, fam.eta))
     assert not ok
-    assert any(v[0] == "overlap" for v in report["violations"])
+    assert ("mass below eta|Q|", (1, 0)) in report["violations"]
+    # give a cell of (1, 1) to (1, 0), which does not contain it
+    astray = fam.owner.copy()
+    astray[np.flatnonzero(astray == 2)[0]] = 1
+    ok, report = verify_sparse(SparseFamily(mesh, fam.members, astray, fam.eta))
+    assert not ok
+    assert ("E_Q not inside Q", (1, 0)) in report["violations"]
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [[[0, 20]], [[24, 40]], [[-1, 2]], [[6, 3]]],
+    ids=["overlap", "past-the-end", "negative", "reversed"],
+)
+def test_from_json_rejects_overlapping_or_off_mesh_runs(runs):
+    # overlaps can only come from a file: the owner array cannot hold them
+    mesh = unit_mesh(5)
+    fam = construct_certificates(SparseFamily(mesh, [(0, 0), (1, 0), (1, 1)]), 2.0)
+    d = json.loads(fam.to_json())
+    d["members"][2]["certificate_cells"] = runs
+    with pytest.raises(ValueError):
+        SparseFamily.from_json(mesh, json.dumps(d))
 
 
 def test_verify_disjoint_family_full_certificates():
     mesh = unit_mesh(4)
-    fam = SparseFamily(
-        mesh,
-        [(2, 0), (2, 3)],
-        {
-            (2, 0): np.r_[np.ones(4, bool), np.zeros(12, bool)],
-            (2, 3): np.r_[np.zeros(12, bool), np.ones(4, bool)],
-        },
-        eta=1.0,
-    )
+    owner = np.r_[np.zeros(4, int), np.full(8, -1), np.ones(4, int)]
+    fam = SparseFamily(mesh, [(2, 0), (2, 3)], owner, eta=1.0)
     ok, _ = verify_sparse(fam)
     assert ok
 
@@ -254,6 +271,99 @@ def test_family_json_roundtrip():
     assert back.eta == fam.eta
     for key in fam.certificates:
         np.testing.assert_array_equal(back.certificates[key], fam.certificates[key])
+
+
+# -- the owner array against the per-member loops it replaced ---------------------
+
+
+def maximal_intervals_oracle(mesh, level, pos, stopping):
+    """Recursive descent: keep an interval fully inside the set, split one
+    that is partly inside."""
+    out = []
+
+    def recurse(l, p, lo, hi):
+        if not stopping[lo:hi].any():
+            return
+        if stopping[lo:hi].all():
+            out.append((l, p))
+            return
+        mid = (lo + hi) // 2
+        recurse(l + 1, 2 * p, lo, mid)
+        recurse(l + 1, 2 * p + 1, mid, hi)
+
+    recurse(level, pos, 0, 1 << (mesh.depth - level))
+    return out
+
+
+def rle_oracle(mask):
+    """Cell runs [start, stop) of a mask, grown one cell at a time."""
+    runs = []
+    for i in np.flatnonzero(mask):
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = int(i) + 1
+        else:
+            runs.append([int(i), int(i) + 1])
+    return runs
+
+
+def blocky_mask(rng, n):
+    """A union of random dyadic blocks, or iid cells: both kinds of stopping set."""
+    if rng.random() < 0.3:
+        return rng.random(n) < rng.uniform(0.0, 1.0)
+    mask = np.zeros(n, dtype=bool)
+    for _ in range(int(rng.integers(0, 6))):
+        width = 1 << int(rng.integers(0, n.bit_length()))
+        start = width * int(rng.integers(0, n // width))
+        mask[start : start + width] = True
+    return mask
+
+
+def test_maximal_intervals_match_recursion():
+    rng = np.random.default_rng(61)
+    for depth in range(1, 11):
+        mesh = unit_mesh(depth)
+        for _ in range(30):
+            level = int(rng.integers(0, depth + 1))
+            pos = int(rng.integers(0, 1 << level))
+            stopping = blocky_mask(rng, 1 << (depth - level))
+            got = _maximal_intervals(mesh, level, pos, stopping)
+            assert got == maximal_intervals_oracle(mesh, level, pos, stopping)
+        for stopping in (np.ones(1 << depth, bool), np.zeros(1 << depth, bool)):
+            assert _maximal_intervals(mesh, 0, 0, stopping) == maximal_intervals_oracle(mesh, 0, 0, stopping)
+
+
+def random_owner(rng, mesh, n_members):
+    """Each cell owned by a random member or free, in runs of random length;
+    some members own nothing."""
+    owners = np.arange(-1, n_members)[rng.random(n_members + 1) < 0.7]
+    if owners.size == 0:
+        owners = np.array([-1])
+    owner = np.empty(mesh.n_cells, dtype=np.int64)
+    pos = 0
+    while pos < mesh.n_cells:
+        run = int(rng.integers(1, 9))
+        owner[pos : pos + run] = rng.choice(owners)
+        pos += run
+    return owner
+
+
+def test_to_json_runs_match_per_member_encoding():
+    rng = np.random.default_rng(62)
+    for depth in (1, 3, 6, 9):
+        mesh = unit_mesh(depth)
+        for _ in range(20):
+            fam = random_family(mesh, rng, density=float(rng.uniform(0.05, 0.5)))
+            fam.owner = random_owner(rng, mesh, len(fam.members))
+            rows = json.loads(fam.to_json())["members"]
+            for i, row in enumerate(rows):
+                assert row["certificate_cells"] == rle_oracle(fam.owner == i)
+            back = SparseFamily.from_json(mesh, fam.to_json())
+            np.testing.assert_array_equal(back.owner, fam.owner)
+            assert back.members == fam.members
+    # no certificates: no certificate_cells keys, and none read back
+    fam = random_family(unit_mesh(4), rng)
+    assert all("certificate_cells" not in row for row in json.loads(fam.to_json())["members"])
+    assert SparseFamily.from_json(fam.mesh, fam.to_json()).owner is None
 
 
 def test_lor_oscillation_probe():
