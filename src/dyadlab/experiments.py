@@ -20,6 +20,7 @@ from . import __version__
 from .errors import ConfigError
 from .grid import GridParameters, standard_grid
 from .operators import (
+    CANONICAL_MARGIN_CAP,
     SignSymbol,
     average_shifts,
     hilbert_exact,
@@ -300,8 +301,15 @@ def run_average_hilbert(cfg: ExperimentConfig) -> dict:
     if any(2 * m < -f.mesh.depth for m in margins):
         # the window [j_root - m, j_cell + m] holds no generation
         raise ConfigError(f"margins must be at least -depth/2 = {-f.mesh.depth / 2:g}")
+    ref_margin = max(max(margins) + 2, CANONICAL_MARGIN_CAP)
+    # the grids are sampled on generations [j_root - ref, j_cell + ref]: 2.0**-j is a normal double for
+    # |j| <= 1022, and an edge below 2**reach in magnitude is then at most 2**(1022 - reach) lengths 2**-j
+    root = f.mesh.root
+    reach = max(0, math.ceil(math.log2(max(abs(root.left), abs(root.right)))))
+    room = min(1022 + root.j, 1022 - reach - root.j - f.mesh.depth)
+    if ref_margin > room:
+        raise ConfigError(f"margins must be at most {room - 2} on this mesh (the grid scales leave the doubles)")
     exact = hilbert_exact(StepFunction(f.mesh, f.values - f.values.mean()))
-    ref_margin = max(max(margins) + 2, 8)
     rows = []
     for seed in cfg.seeds:
         stream = int(seed) + (cfg.seed or 0)

@@ -22,7 +22,6 @@ from .signal import (
     _prefix_at,
     analyze,
     broadcast,
-    lp_norm,
     means_pyramid,
     partial_sums,
     synthesize,
@@ -392,9 +391,9 @@ def _window_transforms(f: StepFunction, r: float, shifts, windows) -> np.ndarray
     """`shifted_grid_transform` cell values for each generation window
     (j_lo, j_hi) in `windows`, one row each.  The generations of all windows
     are evaluated once, in (generation x edge) blocks of at most
-    TRANSFORM_BLOCK_ELEMENTS elements.  Each window adds up its generations'
-    terms in groups of `step` counted from its own j_lo, in order, so its
-    result is bit for bit that of a call with it alone."""
+    TRANSFORM_BLOCK_ELEMENTS elements, and each generation's row is added to
+    every window holding it.  A window thus sums its rows in generation
+    order, so its result is bit for bit that of a call with it alone."""
     mesh = f.mesh
     edges = mesh.cell_edges()
     pref = f.prefix_integrals()
@@ -405,7 +404,6 @@ def _window_transforms(f: StepFunction, r: float, shifts, windows) -> np.ndarray
     ells = r * 2.0 ** -gens.astype(float)
     offs = r * np.array([shifts[int(j)] for j in gens], dtype=float)
     p_edges = np.zeros((len(windows), edges.size))
-    block_sums = np.zeros_like(p_edges)
     step = max(1, TRANSFORM_BLOCK_ELEMENTS // edges.size)
     for start in range(0, gens.size, step):
         ell = ells[start : start + step, None]
@@ -426,12 +424,8 @@ def _window_transforms(f: StepFunction, r: float, shifts, windows) -> np.ndarray
         for j, row in zip(gens[start : start + step], d):
             for w, (lo, hi) in enumerate(windows):
                 if lo <= j <= hi:
-                    if (j - lo) % step:
-                        block_sums[w] += row
-                    else:
-                        p_edges[w] += block_sums[w]
-                        block_sums[w] = row
-    return np.diff(p_edges + block_sums, axis=1) / mesh.cell_length
+                    p_edges[w] += row
+    return np.diff(p_edges, axis=1) / mesh.cell_length
 
 
 def _interval_differences(edges, pref, vals, off, ell, ke):
@@ -531,31 +525,14 @@ def dense_matrix(op: LinearOperator) -> np.ndarray:
 def operator_norm_weighted(
     op: LinearOperator,
     w: StepFunction | None = None,
-    p: float = 2.0,
     iters: int = 10 ** 4,
     tol: float = 1e-8,
     seed: int = 0,
-    test_functions=None,
 ) -> float:
-    """||T||_{L^p(w)} by power iteration (p=2) or a test-function lower bound.
-
-    At p=2 the similarity g -> sqrt(w) T(g/sqrt(w)) turns the weighted norm
-    into a plain largest singular value (meshes are uniform, so the cell
-    length drops out).
-    """
-    if p == 2.0:
-        if w is None:
-            w = StepFunction(op.mesh, np.ones(op.mesh.n_cells))
-        return operator_norm_two_weight(op, w, w, iters, tol, seed)
-    if not test_functions:
-        raise ValueError("p != 2 runs in lower-bound mode and needs test functions")
-    best = 0.0
-    for f in test_functions:
-        denom = lp_norm(f, p, w)
-        if denom == 0.0:
-            continue
-        best = max(best, lp_norm(StepFunction(op.mesh, op.apply(f.values)), p, w) / denom)
-    return best
+    """||T||_{L^2(w)}: the two-weight norm with u = v = w (default w = 1)."""
+    if w is None:
+        w = StepFunction(op.mesh, np.ones(op.mesh.n_cells))
+    return operator_norm_two_weight(op, w, w, iters, tol, seed)
 
 
 def operator_norm_two_weight(
@@ -566,24 +543,23 @@ def operator_norm_two_weight(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> float:
-    """||T||_{L^2(u) -> L^2(v)} via the similarity g -> sqrt(v) T(g/sqrt(u))."""
+    """||T||_{L^2(u) -> L^2(v)} by power iteration on T*T.
+
+    The similarity g -> sqrt(v) T(g/sqrt(u)) turns the two-weight norm into
+    a plain largest singular value (meshes are uniform, so the cell length
+    drops out).  The iteration stops once sigma changes by at most tol
+    relative between steps.
+    """
     su, sv = np.sqrt(u.values), np.sqrt(v.values)
-    fwd = lambda g: sv * op.apply(g / su)
-    adj = lambda g: op.adjoint(sv * g) / su
-    return _power_iteration(fwd, adj, op.mesh.n_cells, iters, tol, seed)
-
-
-def _power_iteration(fwd, adj, n, iters, tol, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(n)
+    g = np.random.default_rng(seed).standard_normal(op.mesh.n_cells)
     g /= np.linalg.norm(g)
     sigma_prev = -1.0
     for _ in range(iters):
-        a = fwd(g)
+        a = sv * op.apply(g / su)
         sigma = float(np.linalg.norm(a))
         if sigma == 0.0:
             return 0.0
-        back = adj(a)
+        back = op.adjoint(sv * a) / su
         nb = float(np.linalg.norm(back))
         if nb == 0.0:
             return sigma
@@ -598,22 +574,21 @@ def _power_iteration(fwd, adj, n, iters, tol, seed):
 
 
 def square_norm_weighted(w: StepFunction, iters: int = 10 ** 4, tol: float = 1e-10, seed: int = 0) -> float:
-    """||S^D||_{L^2(w)} from the quadratic form sum |<f,h_I>|^2 <w>_I.
+    """||S^D||_{L^2(w)} as the norm of a Haar multiplier.
 
-    The form operator K f = sum <w>_I <f,h_I> h_I is PSD, and the weighted
-    norm squared is the top eigenvalue of (1/sqrt w) K (./sqrt w).
+    ||S f||^2_{L^2(w)} = sum |<f,h_I>|^2 <w>_I = ||M f||^2_{L^2} for the
+    self-adjoint multiplier M f = sum sqrt(<w>_I) <f,h_I> h_I, so
+    ||S^D||_{L^2(w)} = ||M||_{L^2(w) -> L^2}.
     """
     mesh = w.mesh
-    pw = means_pyramid(w)
-    sw = np.sqrt(w.values)
+    roots = [np.sqrt(m) for m in means_pyramid(w)]
 
     def apply(g):
-        s = analyze(StepFunction(mesh, g / sw))
-        scaled = HaarSpectrum(mesh, 0.0, [c * m for c, m in zip(s.levels, pw)])
-        return synthesize(scaled).values / sw
+        s = analyze(StepFunction(mesh, g))
+        return synthesize(HaarSpectrum(mesh, 0.0, [c * r for c, r in zip(s.levels, roots)])).values
 
-    lam = _power_iteration(apply, apply, mesh.n_cells, iters, tol, seed)
-    return math.sqrt(lam)
+    op = LinearOperator(mesh, apply, apply, name="square")
+    return operator_norm_two_weight(op, w, StepFunction(mesh, np.ones(mesh.n_cells)), iters, tol, seed)
 
 
 def named_operator(

@@ -44,22 +44,21 @@ class QuasiMetricCloud:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def validate(self, check_quasi_triangle: bool = True) -> dict:
+    def validate(self) -> dict:
         """Exhaustive checks of the quasi-metric axioms (n <= 512 is cheap)."""
         d = self.dist
         report = {"symmetric": bool(np.allclose(d, d.T))}
         report["positive_definite"] = bool(
             np.all(np.diag(d) == 0.0) and np.all(d + np.eye(self.n) > 0)
         )
-        if check_quasi_triangle:
-            worst = 1.0
-            for z in range(self.n):
-                through = d[:, z][:, None] + d[z, :][None, :]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(through > 0, d / through, 0.0)
-                worst = max(worst, float(np.max(ratio)))
-            report["quasi_triangle_constant"] = worst
-            report["A0_ok"] = worst <= self.A0 * (1 + 1e-12)
+        worst = 1.0
+        for z in range(self.n):
+            through = d[:, z][:, None] + d[z, :][None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(through > 0, d / through, 0.0)
+            worst = max(worst, float(np.max(ratio)))
+        report["quasi_triangle_constant"] = worst
+        report["A0_ok"] = worst <= self.A0 * (1 + 1e-12)
         return report
 
     @classmethod

@@ -193,7 +193,6 @@ def lacey_dominate(
     sigma: SignSymbol,
     top: tuple[int, int] = (0, 0),
     C0: float | None = None,
-    C0_cap: float = 2.0 ** 16,
 ) -> tuple[SparseFamily, float]:
     """Pointwise sparse domination of the martingale transform.
 
@@ -201,8 +200,8 @@ def lacey_dominate(
     |1_{I0} T_sigma(f 1_{I0})(x)| <= C0_used * A_S|f|(x) at every cell; both
     facts are re-verified before returning.  Stopping sets use the dyadic
     maximal function and sharp truncation of the localized data f 1_I; in
-    auto mode C0 starts at 4 and doubles until every stopping set has at most
-    half the mass of its interval and the pointwise check passes.
+    auto mode C0 starts at 4 and doubles, up to 2^16, until every stopping set
+    has at most half the mass of its interval and the pointwise check passes.
     """
     mesh = f.mesh
     top_sl = mesh.cell_slice(*top)
@@ -215,11 +214,9 @@ def lacey_dominate(
     outside = np.ones(mesh.n_cells, dtype=bool)
     outside[top_sl] = False
     lhs[outside] = 0.0
-    candidates = [C0] if C0 is not None else [4.0 * 2.0 ** k for k in range(17)]
+    candidates = [C0] if C0 is not None else [4.0 * 2.0 ** k for k in range(15)]
     last_error: Exception | None = None
     for c0 in candidates:
-        if c0 > C0_cap:
-            break
         try:
             family = _lacey_build(floc, sigma, top, c0)
         except CalibrationError as exc:
@@ -232,9 +229,7 @@ def lacey_dominate(
         if np.all(lhs <= rhs + 1e-12):
             return family, c0
         last_error = CalibrationError(f"pointwise domination failed at C0={c0}")
-    raise last_error if last_error is not None else CalibrationError(
-        f"no C0 under the cap {C0_cap} worked"
-    )
+    raise last_error
 
 
 def _lacey_build(floc: StepFunction, sigma: SignSymbol, top, c0) -> SparseFamily:
@@ -288,20 +283,18 @@ def _maximal_intervals(mesh: Mesh, level: int, pos: int, stopping: np.ndarray):
 # -- oscillation-domination probe ------------------------------------------------
 
 
-def lor_oscillation_check(
-    family: SparseFamily, b: StepFunction, budget: int | None = None
-) -> dict:
+def lor_oscillation_check(family: SparseFamily, b: StepFunction) -> dict:
     """Probe the oscillation-domination lemma with a greedy enlargement.
 
     For each member Q, compares |b - <b>_Q| against
     8 * sum_{R in S~, R subset Q} Omega(b;R) 1_R with S~ grown greedily by
     the descendant of largest mean oscillation through the worst cell, and
-    reports whether the factor-8 bound is met within the budget.  The lemma
-    guarantees SOME enlargement works; a failure here indicts the greedy
-    choice, not the lemma.
+    reports whether the factor-8 bound is met within 8 |S| + 128 additions
+    per member.  The lemma guarantees SOME enlargement works; a failure here
+    indicts the greedy choice, not the lemma.
     """
     mesh = family.mesh
-    budget = budget if budget is not None else 8 * len(family.members) + 128
+    budget = 8 * len(family.members) + 128
     # osc[l][p] = Omega(b; (l, p))
     osc = [s / (1 << (mesh.depth - l)) for l, s in enumerate(oscillations(b))]
     enlarged = set(family.members)

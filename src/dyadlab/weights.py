@@ -358,7 +358,7 @@ def _sample_domain(rng, n):
     return u, v, l
 
 
-def bellman_verify(sample_count: int = 10 ** 4, seed: int = 0, fd_step: float = 1e-5) -> dict:
+def bellman_verify(sample_count: int = 10 ** 4, seed: int = 0) -> dict:
     """Sample the Bellman function lemma conditions; returns violation counts.
 
     Checks, on random domain points and random admissible midpoint triples:
@@ -368,6 +368,7 @@ def bellman_verify(sample_count: int = 10 ** 4, seed: int = 0, fd_step: float = 
     """
     rng = np.random.default_rng(seed)
     tol = 1e-12
+    fd_step = 1e-5
     report = {
         "samples": sample_count,
         "range_violations": 0,

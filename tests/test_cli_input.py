@@ -56,18 +56,31 @@ def test_good_signal_rows_still_load(tmp_path, capsys):
 
 
 def test_margin_emptying_every_window_is_a_config_error(capsys):
-    # 2 m < -depth leaves [j_root - m, j_cell + m] without a generation
-    assert_config_error(capsys, ["average-hilbert", "--depth", "6", "--samples", "2", "--seed", "0", "--margins", "-4"])
-    assert main(["average-hilbert", "--depth", "6", "--samples", "2", "--seed", "0", "--margins", "-3"]) == 0
-    assert strict_loads(capsys.readouterr().out)["experiment"] == "average-hilbert"
+    # 2 m < -depth leaves [j_root - m, j_cell + m] without a generation; above, the reference window
+    # [-(m + 2), depth + m + 2] must keep |j| <= 1022, or 2**-j leaves the normal doubles (10000000 once
+    # drew 2 m shift bits per sample, peaked at 1.1 GB and exited 3)
+    for depth, rejected, accepted in (("6", "-4", "-3"), ("4", "10000000", "1016"), ("4", "1017", "1016")):
+        argv = ["average-hilbert", "--depth", depth, "--samples", "2", "--seed", "0", "--margins"]
+        assert_config_error(capsys, [*argv, rejected])
+        assert main([*argv, accepted]) == 0
+        assert strict_loads(capsys.readouterr().out)["experiment"] == "average-hilbert"
 
 
 def test_margin_is_checked_against_the_signal_files_depth(tmp_path, capsys):
-    # --depth 10 would allow -4, but the depth-6 signal file sets the mesh
+    # --depth 10 would allow -4 and reject 1014, but the depth-6 signal file sets the mesh
     files = write_signal(tmp_path, 6, [(i, str(np.sin(i))) for i in range(64)])
     argv = ["average-hilbert", *files, "--depth", "10", "--samples", "2", "--seed", "0", "--margins"]
     assert_config_error(capsys, [*argv, "-4"])
     assert main([*argv, "-3"]) == 0
+    capsys.readouterr()
+    assert_config_error(capsys, [*argv, "10000000"])
+    assert_config_error(capsys, [*argv, "1015"])
+    assert main([*argv, "1014"]) == 0
+    capsys.readouterr()
+    # edges near 2**10 measured in lengths 2**-1018 overflow: a far root lowers the bound
+    (tmp_path / "sig.json").write_text('{"root_left": 1024.0, "root_right": 1025.0, "depth": 6}')
+    assert_config_error(capsys, [*argv, "1010"])
+    assert main([*argv, "1003"]) == 0
 
 
 @pytest.mark.parametrize("alphas", ["0.5", "0.5,0.5"])

@@ -47,7 +47,7 @@ from dyadlab.signal import (
     lp_norm,
     means_pyramid,
 )
-from dyadlab.weights import CarlesonSequence
+from dyadlab.weights import CarlesonSequence, power_weight
 
 
 def unit_mesh(depth=6):
@@ -623,12 +623,23 @@ def test_norm_matches_dense_svd():
 
 
 def test_square_norm_weighted_against_dense():
-    mesh = unit_mesh(5)
-    rng = np.random.default_rng(23)
-    w = StepFunction(mesh, np.exp(rng.uniform(-1, 1, mesh.n_cells)))
-    est = square_norm_weighted(w, tol=1e-12)
-    # dense oracle: sup ||Sf||_{L2(w)} / ||f||_{L2(w)} via generalized eigenproblem
-    n = mesh.n_cells
+    # the power iteration runs on the multiplier by sqrt(<w>_I); the oracle is the quadratic form itself
+    for depth in (2, 5, 8):
+        mesh = unit_mesh(depth)
+        weights = [
+            StepFunction(mesh, np.exp(np.random.default_rng(23).uniform(-1, 1, mesh.n_cells))),
+            power_weight(mesh, 0.3),
+            power_weight(mesh, 1.9),
+        ]
+        for w in weights:
+            est = square_norm_weighted(w, tol=1e-12)
+            assert est == pytest.approx(dense_square_norm(w), rel=1e-8), (depth, w.values[:2])
+
+
+def dense_square_norm(w):
+    """sup ||Sf||_{L2(w)} / ||f||_{L2(w)} from the generalized eigenproblem
+    of the form sum |<f,h_I>|^2 <w>_I against the Gram matrix of L2(w)."""
+    mesh = w.mesh
     rows = []
     for level in range(mesh.depth):
         for pos in range(1 << level):
@@ -640,7 +651,7 @@ def test_square_norm_weighted_against_dense():
     K = H.T @ (wl[:, None] * H)
     D = np.diag(w.values * mesh.cell_length)
     vals = np.linalg.eigvalsh(np.linalg.inv(np.linalg.cholesky(D)) @ K @ np.linalg.inv(np.linalg.cholesky(D)).T)
-    assert est == pytest.approx(math.sqrt(vals[-1]), rel=1e-8)
+    return math.sqrt(vals[-1])
 
 
 def test_positive_dyadic_operator_zero_and_selfadjoint():
