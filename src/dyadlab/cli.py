@@ -51,19 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    over = {
-        "seed": args.seed,
-        "depth": args.depth,
-        "out": args.out,
-        "fmt": args.fmt,
-        "operator": args.operator,
-        "samples": args.samples,
-        "signal": args.signal,
-        "signal_meta": args.signal_meta,
-        "grid": args.grid,
-        "cloud": args.cloud,
-        "delta": args.delta,
-    }
+    over = {k: v for k, v in vars(args).items() if k not in ("config", "experiment")}
     if args.alphas is not None:
         over["alphas"] = tuple(float(a) for a in args.alphas.split(","))
     if args.margins is not None:

@@ -37,6 +37,9 @@ class QuasiMetricCloud:
         self.mass = np.asarray(self.mass, dtype=float)
         if n == 0 or not (np.all(np.isfinite(self.dist)) and np.all(np.isfinite(self.mass))):
             raise ValueError("a cloud needs at least one point, finite distances and finite masses")
+        d = self.dist  # zero exactly on the diagonal: no duplicate points, no missing pairs
+        if not (np.array_equal(d, d.T) and np.all(d >= 0) and np.array_equal(d > 0, ~np.eye(n, dtype=bool))):
+            raise ValueError("a cloud's distances must be symmetric, zero on the diagonal and positive elsewhere")
         if np.min(self.mass) <= 0:
             raise DegenerateWeightError("point masses must be positive")
 
@@ -93,9 +96,13 @@ class QuasiMetricCloud:
         ids = sorted({int(r[0]) for r in body} | {int(r[1]) for r in body})
         index = {pid: k for k, pid in enumerate(ids)}
         n = len(ids)
-        dist = np.zeros((n, n))
+        dist = np.zeros((n, n))  # a pair left out stays at 0, which the constructor rejects
+        given = np.zeros((n, n), dtype=bool)
         for r in body:
             i, j, dv = index[int(r[0])], index[int(r[1])], float(r[2])
+            if given[i, j] and dist[i, j] != dv:
+                raise ValueError(f"cloud CSV gives the pair {r[0]},{r[1]} two different distances")
+            given[i, j] = given[j, i] = True
             dist[i, j] = dist[j, i] = dv
         cloud = cls(dist, np.ones(n), A0=1.0)
         cloud.A0 = cloud.validate()["quasi_triangle_constant"]
@@ -179,29 +186,23 @@ class CubeSystem:
         return np.flatnonzero(self.parent[level + 1] == cube)
 
     def verify(self) -> dict:
-        """Partition, nestedness, and measured inner/outer ball constants."""
+        """Partition, nestedness, and measured inner/outer ball constants.
+
+        Each level is one masked reduction over its (center x point) block of
+        the distance matrix: own[c, p] says whether point p lies in cube c.
+        """
         report = {"partition_ok": True, "nested_ok": True}
-        for level in range(self.n_levels):
-            a = self.assignment[level]
-            if np.any(a < 0) or np.any(a >= len(self.centers[level])):
-                report["partition_ok"] = False
-        for level in range(1, self.n_levels):
-            child_of_point = self.assignment[level]
-            implied_parent = self.parent[level][child_of_point]
-            if not np.array_equal(implied_parent, self.assignment[level - 1]):
-                report["nested_ok"] = False
         inner, outer = math.inf, 0.0
-        for level in range(self.n_levels):
+        for level, (cs, a) in enumerate(zip(self.centers, self.assignment)):
+            k = len(cs)
+            if not (np.all((a >= 0) & (a < k)) and np.all(np.bincount(a, minlength=k))):
+                report["partition_ok"] = False  # an index out of range, or an empty cube
+            if level and not np.array_equal(self.parent[level][a], self.assignment[level - 1]):
+                report["nested_ok"] = False
+            d, own = self.cloud.dist[cs], a == np.arange(k)[:, None]
             scale = self.delta ** level
-            for cube, center in enumerate(self.centers[level]):
-                pts = self.cube_points(level, cube)
-                if pts.size == 0:
-                    report["partition_ok"] = False
-                    continue
-                outer = max(outer, float(self.cloud.dist[center, pts].max()) / scale)
-                others = np.setdiff1d(np.arange(self.cloud.n), pts, assume_unique=False)
-                if others.size:
-                    inner = min(inner, float(self.cloud.dist[center, others].min()) / scale)
+            outer = max(outer, float(np.max(d, where=own, initial=0.0)) / scale)
+            inner = min(inner, float(np.min(d, where=~own, initial=math.inf)) / scale)
         a0 = self.cloud.A0
         report["outer_ball_constant"] = outer
         report["inner_ball_constant"] = inner if inner < math.inf else 1.0
@@ -211,38 +212,26 @@ class CubeSystem:
 
 
 def assign_cubes(nets, cloud: QuasiMetricCloud, delta: float) -> CubeSystem:
-    """Hierarchically constrained nearest-center assignment.
+    """Hierarchically constrained nearest-center assignment, one pass per level.
 
-    At the top level every point takes its nearest center (ties to the
-    smallest center id).  Below, a point chooses among the centers whose own
-    cube at the previous level equals the point's cube, which makes each
-    generation a partition refining the previous one.
+    At the top level every point takes its nearest center.  Below, a point
+    chooses among the centers whose own cube at the previous level equals the
+    point's cube (the others are masked to inf), which makes each generation a
+    partition refining the previous one.  argmin takes the first minimum, so
+    ties go to the smallest center index.
     """
     centers = [np.asarray(c) for c in nets]
-    assignment = []
+    # the (center x point) rows dist[cs] are contiguous copies; symmetry makes them dist[:, cs].T
+    assignment = [np.argmin(cloud.dist[centers[0]], axis=0)]
     parents = [np.array([], dtype=int)]
-    top = centers[0]
-    a0 = np.array(
-        [_nearest(cloud, p, top) for p in range(cloud.n)], dtype=int
-    )
-    assignment.append(a0)
-    for level in range(1, len(centers)):
-        cs = centers[level]
-        parent_of_center = np.array(
-            [assignment[level - 1][c] for c in cs], dtype=int
-        )
-        assign = np.empty(cloud.n, dtype=int)
-        for p in range(cloud.n):
-            allowed = np.flatnonzero(parent_of_center == assignment[level - 1][p])
-            assign[p] = allowed[_nearest(cloud, p, cs[allowed])]
-        assignment.append(assign)
+    for cs in centers[1:]:
+        up = assignment[-1]
+        parent_of_center = up[cs]
+        d = cloud.dist[cs]
+        d[parent_of_center[:, None] != up] = np.inf
+        assignment.append(np.argmin(d, axis=0))
         parents.append(parent_of_center)
     return CubeSystem(cloud, delta, centers, assignment, parents)
-
-
-def _nearest(cloud: QuasiMetricCloud, p: int, candidate_ids) -> int:
-    d = cloud.dist[p, candidate_ids]
-    return int(np.argmin(d))  # argmin takes the first minimum: smallest id wins ties
 
 
 def build_cube_system(
@@ -285,23 +274,18 @@ def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
     mu = cloud.mass
     functions = []
     for level in range(system.n_levels - 1):
+        here, below = system.assignment[level], system.assignment[level + 1]
         for cube in range(len(system.centers[level])):
             kids = system.children(level, cube)
             if kids.size < 2:
                 continue  # wait until the cube subdivides
-            masses = np.array(
-                [mu[system.cube_points(level + 1, k)].sum() for k in kids]
-            )
+            masses = np.array([mu[below == k].sum() for k in kids])
             if np.any(masses <= 0):
                 raise DegenerateWeightError("child cube with zero mass")
             order = sorted(range(kids.size), key=lambda i: (-masses[i], -kids[i]))
-            remaining = list(system.cube_points(level, cube))
-            rem_mask = np.zeros(cloud.n, dtype=bool)
-            rem_mask[remaining] = True
+            rem_mask = here == cube
             for i, oi in enumerate(order[:-1]):
-                child_pts = system.cube_points(level + 1, kids[oi])
-                plus = np.zeros(cloud.n, dtype=bool)
-                plus[child_pts] = True
+                plus = below == kids[oi]
                 minus = rem_mask & ~plus
                 m_plus = float(mu[plus].sum())
                 m_minus = float(mu[minus].sum())

@@ -155,7 +155,7 @@ class StepFunction:
             j_root = round(-math.log2(length))
             if abs(2.0 ** -j_root - length) > 1e-12 * length:
                 raise ValueError("root must be a standard dyadic interval")
-            grid = standard_grid(min(j_root, 0) - 1, j_root + depth + 1)
+            grid = standard_grid(min(j_root, 0) - 1, max(j_root + depth, 0) + 1)
         else:
             j_root = round(math.log2(grid.r / length))
             if abs(grid.generation_length(j_root) - length) > 1e-12 * length:

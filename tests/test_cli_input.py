@@ -55,6 +55,22 @@ def test_good_signal_rows_still_load(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_signal_root_longer_than_its_cells_loads(tmp_path, capsys):
+    # a depth-2 signal on [0, 1024) once built a grid window with j_max < 0: "negative shift count", exit 2
+    files = write_signal(tmp_path, 2, [(0, "1.0"), (1, "-2.0"), (2, "0.5"), (3, "3.0")])
+    coefficients = {}
+    for right in (4.0, 1024.0):
+        (tmp_path / "sig.json").write_text(json.dumps({"root_left": 0.0, "root_right": right, "depth": 2}))
+        out = tmp_path / f"out{right:g}"
+        assert main(["haar", *files, "--out", str(out), "--format", "json"]) == 0
+        capsys.readouterr()
+        (report,) = out.glob("*.json")
+        coefficients[right] = [row["coefficient"] for row in strict_loads(report.read_text())["rows"]]
+    # stretching the root by 256 keeps the mean (row 0) and multiplies each <f, h_I> by sqrt(256)
+    mean, *haar = coefficients[4.0]
+    assert coefficients[1024.0] == [mean] + [16.0 * c for c in haar]
+
+
 def test_margin_emptying_every_window_is_a_config_error(capsys):
     # 2 m < -depth leaves [j_root - m, j_cell + m] without a generation; above, the reference window
     # [-(m + 2), depth + m + 2] must keep |j| <= 1022, or 2**-j leaves the normal doubles (10000000 once
@@ -103,11 +119,22 @@ def test_signal_side_file_without_depth_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["id,x,y\n0,0.5,0.5\n1,0.25\n", "id,x,y\n", "id,x,y\n0,nan,0.5\n1,0.25,0.75\n"],
-    ids=["short-row", "header-only", "nan-coordinate"],
+    [
+        "id,x,y\n0,0.5,0.5\n1,0.25\n",
+        "id,x,y\n",
+        "id,x,y\n0,nan,0.5\n1,0.25,0.75\n",
+        "id_i,id_j,distance\n0,1,1.0\n1,2,1.0\n",
+        "id_i,id_j,distance\n0,1,1.0\n1,2,-1.0\n0,2,2.0\n",
+        "id_i,id_j,distance\n0,1,1.0\n1,2,1.0\n0,2,2.0\n0,0,1.0\n",
+        "id_i,id_j,distance\n0,1,1.0\n1,2,1.0\n0,2,2.0\n2,0,1.5\n",
+        "id,x,y\n0,0.5,0.5\n1,0.25,0.75\n2,0.5,0.5\n",
+    ],
+    ids=["short-row", "header-only", "nan-coordinate", "missing-pair", "negative-distance", "self-edge",
+         "pair-given-twice", "equal-points"],
 )
 def test_bad_cloud_file_is_a_config_error(tmp_path, capsys, text):
-    # once: IndexError (exit 1), a report of n_points 1 (exit 0), exit 0 on nan
+    # once: IndexError (exit 1), a report of n_points 1 (exit 0), exit 0 on nan; the last five
+    # ran to exit 0 on a matrix that is no quasi-metric (a missing pair reported 64 levels)
     cloud = tmp_path / "cloud.csv"
     cloud.write_text(text)
     assert_config_error(capsys, ["sht", "--cloud", str(cloud)])

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dyadlab.grid import standard_grid
 from dyadlab.sht import (
     QuasiMetricCloud,
+    assign_cubes,
     build_cube_system,
     build_nets,
     build_sht_haar,
@@ -25,6 +29,95 @@ def planar_cloud(n, seed, mass=False):
     xy = rng.random((n, 2))
     m = rng.uniform(0.5, 2.0, n) if mass else None
     return QuasiMetricCloud.from_points(xy, m)
+
+
+def five_point_cloud():
+    """One outlier glued at quasi-distance 1/2 to the head of a unit-spaced line."""
+    n = 5
+    dist = np.zeros((n, n))
+    xs = [0.0, 1.0, 2.0, 3.0]
+    for i in range(4):
+        for j in range(4):
+            dist[i + 1, j + 1] = abs(xs[i] - xs[j])
+    # the outlier sits at coordinate -1 metrically, except that its distance
+    # to the head of the line is shortened to 1/2
+    for j in range(4):
+        dist[0, j + 1] = dist[j + 1, 0] = 0.5 if j == 0 else 1.0 + xs[j]
+    return QuasiMetricCloud(dist, np.ones(n), A0=2.0)
+
+
+ORACLE_CLOUDS = {
+    **{f"planar{n}{'-mass' if mass else ''}": (lambda n=n, mass=mass: planar_cloud(n, n, mass))
+       for n in (1, 2, 7, 64, 300) for mass in (False, True)},
+    "lattice-euclidean": lambda: lattice_cloud(64),  # equidistant neighbours: ties
+    "lattice-dyadic": lambda: lattice_cloud(64, metric="dyadic"),
+    "five-point": five_point_cloud,
+}
+
+
+def reference_assignment(cloud, nets):
+    """Per point and level: the nearest center among those inside the point's
+    parent cube, ties to the smallest center index."""
+    assignment, up = [], [0] * cloud.n  # above level 0, one cube holds the whole cloud
+    for cs in nets:
+        allowed = [[c for c in range(len(cs)) if up[cs[c]] == up[p]] for p in range(cloud.n)]
+        up = [min(allowed[p], key=lambda c: (cloud.dist[p, cs[c]], c)) for p in range(cloud.n)]
+        assignment.append(up)
+    return assignment
+
+
+def reference_ball_constants(system):
+    """Outer and inner constants cube by cube, over the points inside and outside it."""
+    inner, outer = math.inf, 0.0
+    for level, cs in enumerate(system.centers):
+        for cube, center in enumerate(cs):
+            inside = system.assignment[level] == cube
+            d = system.cloud.dist[center] / system.delta ** level
+            outer = max([outer, *d[inside]])
+            inner = min([inner, *d[~inside]])
+    return inner if inner < math.inf else 1.0, outer
+
+
+@pytest.mark.parametrize("name", ORACLE_CLOUDS)
+def test_cube_assignment_and_ball_constants_match_the_per_cube_loops(name):
+    cloud = ORACLE_CLOUDS[name]()
+    nets = build_nets(cloud, 0.5, k_max=8 if name == "five-point" else None)
+    system = assign_cubes(nets, cloud, 0.5)
+    expected = reference_assignment(cloud, nets)
+    assert [a.tolist() for a in system.assignment] == expected
+    for level in range(1, system.n_levels):
+        assert system.parent[level].tolist() == [expected[level - 1][c] for c in nets[level]]
+    report = system.verify()
+    assert report["partition_ok"] and report["nested_ok"]
+    inner, outer = reference_ball_constants(system)
+    assert (report["inner_ball_constant"], report["outer_ball_constant"]) == (inner, outer)
+
+
+def with_assignment(system, level, assignment):
+    return replace(system, assignment=[*system.assignment[:level], assignment, *system.assignment[level + 1:]])
+
+
+def test_verify_flags_an_empty_cube_and_an_index_out_of_range():
+    system = build_cube_system(planar_cloud(64, 11), 0.5)
+    level = next(k for k in range(system.n_levels) if len(system.centers[k]) >= 2)
+    a = system.assignment[level].copy()
+    a[a == 1] = 0  # cube 1 loses every point
+    assert not with_assignment(system, level, a).verify()["partition_ok"]
+    for bad in (-1, len(system.centers[0])):
+        a = system.assignment[0].copy()
+        a[5] = bad
+        assert not with_assignment(system, 0, a).verify()["partition_ok"]
+
+
+def test_verify_flags_a_point_moved_under_another_parent():
+    system = build_cube_system(planar_cloud(64, 11), 0.5)
+    level = next(k for k in range(1, system.n_levels) if len(system.centers[k - 1]) >= 2)
+    a = system.assignment[level].copy()
+    p = next(p for p in range(system.cloud.n) if np.sum(a == a[p]) >= 2)  # its cube stays non-empty
+    up = system.assignment[level - 1][p]
+    a[p] = int(np.flatnonzero(system.parent[level] != up)[0])
+    report = with_assignment(system, level, a).verify()
+    assert report["partition_ok"] and not report["nested_ok"]
 
 
 def test_quasi_metric_validation():
@@ -239,20 +332,9 @@ def test_cloud_csv_points(tmp_path):
 
 
 def test_five_point_nonopen_ball_fixture():
-    # finite analogue of the classical non-open-ball pathology: one outlier
-    # glued at quasi-distance 1/2 to the head of a unit-spaced line; the
+    # finite analogue of the classical non-open-ball pathology: the
     # quasi-triangle constant exceeds 1 and the cube machinery still works
-    n = 5
-    dist = np.zeros((n, n))
-    xs = [0.0, 1.0, 2.0, 3.0]
-    for i in range(4):
-        for j in range(4):
-            dist[i + 1, j + 1] = abs(xs[i] - xs[j])
-    # the outlier sits at coordinate -1 metrically, except that its distance
-    # to the head of the line is shortened to 1/2
-    for j in range(4):
-        dist[0, j + 1] = dist[j + 1, 0] = 0.5 if j == 0 else 1.0 + xs[j]
-    cloud = QuasiMetricCloud(dist, np.ones(n), A0=2.0)
+    cloud = five_point_cloud()
     rep = cloud.validate()
     assert rep["quasi_triangle_constant"] > 1.0
     assert rep["A0_ok"]
