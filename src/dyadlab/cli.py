@@ -9,13 +9,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    ConvergenceError,
-    DyadLabError,
-    InfeasibleError,
-)
+from .errors import ConfigError, DyadLabError
 from .experiments import EXPERIMENTS, ExperimentConfig, run, strict_json, write_report
 
 
@@ -85,13 +79,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
-    except (ConvergenceError, CalibrationError, InfeasibleError, ArithmeticError) as exc:
-        print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
-        return 3
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 4
-    except DyadLabError as exc:
+    except (DyadLabError, ArithmeticError) as exc:
         print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
         return 3
 

@@ -20,6 +20,7 @@ from .signal import (
     Mesh,
     StepFunction,
     _prefix_at,
+    _resolve,
     analyze,
     broadcast,
     means_pyramid,
@@ -450,9 +451,7 @@ def _interval_differences(edges, pref, vals, off, ell, ke):
 
 def mean_oscillation(b: StepFunction, where) -> float:
     """Omega(b; R) = <|b - <b>_R|>_R."""
-    level, pos = b.mesh.position_of(where) if hasattr(where, "grid") else where
-    sl = b.mesh.cell_slice(level, pos)
-    chunk = b.values[sl]
+    chunk = b.values[b.mesh.cell_slice(*_resolve(b.mesh, where))]
     return float(np.mean(np.abs(chunk - chunk.mean())))
 
 

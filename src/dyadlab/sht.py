@@ -50,25 +50,19 @@ class QuasiMetricCloud:
     def validate(self) -> dict:
         """Exhaustive checks of the quasi-metric axioms (n <= 512 is cheap)."""
         d = self.dist
-        report = {"symmetric": bool(np.allclose(d, d.T))}
-        report["positive_definite"] = bool(
-            np.all(np.diag(d) == 0.0) and np.all(d + np.eye(self.n) > 0)
-        )
         worst = 1.0
         for z in range(self.n):
             through = d[:, z][:, None] + d[z, :][None, :]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(through > 0, d / through, 0.0)
             worst = max(worst, float(np.max(ratio)))
-        report["quasi_triangle_constant"] = worst
-        report["A0_ok"] = worst <= self.A0 * (1 + 1e-12)
-        return report
+        return {"quasi_triangle_constant": worst, "A0_ok": worst <= self.A0 * (1 + 1e-12)}
 
     @classmethod
     def from_points(cls, xy: np.ndarray, mass=None) -> "QuasiMetricCloud":
         xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        diff = xy[:, None, :] - xy[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
+        dist = sum((x[:, None] - x[None, :]) ** 2 for x in xy.T)  # one n x n block per coordinate
+        np.sqrt(dist, out=dist)
         n = xy.shape[0]
         return cls(dist, np.ones(n) if mass is None else mass, A0=1.0)
 
@@ -244,17 +238,15 @@ def build_cube_system(
 
 
 @dataclass
-class SHTHaarFunction:
-    level: int
-    cube: int
-    index: int  # 1..N(Q)-1
-    values: np.ndarray  # dense over the cloud, zero off the cube
-
-
-@dataclass
 class SHTHaarSystem:
+    """The Haar functions as the rows of one (functions x points) array, each
+    dense over the cloud and zero off its cube.  A cube's rows are consecutive
+    and in peeling order; `level` and `cube` name the cube of each row."""
+
     system: CubeSystem
-    functions: list[SHTHaarFunction]
+    functions: np.ndarray
+    level: np.ndarray
+    cube: np.ndarray
     top_cubes: int
 
     def coefficient_count(self) -> int:
@@ -268,11 +260,14 @@ def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
     which orients equal-mass binary splits like the classical Haar function);
     E^1 = Q, E^{i+1} = E^i minus the i-th child, and
     h^i = a 1_{child_i} - b 1_{E^{i+1}} with a, b forced by L^2(mu)
-    normalization and mean zero.
+    normalization and mean zero.  Every cube keeps its own center one level
+    down, so each level adds (children - cubes) functions.
     """
-    cloud = system.cloud
-    mu = cloud.mass
-    functions = []
+    mu = system.cloud.mass
+    count = len(system.centers[-1]) - len(system.centers[0])
+    functions = np.zeros((count, system.cloud.n))
+    level_of, cube_of = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    row = 0
     for level in range(system.n_levels - 1):
         here, below = system.assignment[level], system.assignment[level + 1]
         for cube in range(len(system.centers[level])):
@@ -284,54 +279,39 @@ def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
                 raise DegenerateWeightError("child cube with zero mass")
             order = sorted(range(kids.size), key=lambda i: (-masses[i], -kids[i]))
             rem_mask = here == cube
-            for i, oi in enumerate(order[:-1]):
+            for oi in order[:-1]:
                 plus = below == kids[oi]
                 minus = rem_mask & ~plus
                 m_plus = float(mu[plus].sum())
                 m_minus = float(mu[minus].sum())
                 m_all = m_plus + m_minus
-                a = math.sqrt(m_minus / (m_all * m_plus))
-                b = math.sqrt(m_plus / (m_all * m_minus))
-                vals = np.zeros(cloud.n)
-                vals[plus] = a
-                vals[minus] = -b
-                functions.append(SHTHaarFunction(level, cube, i + 1, vals))
+                functions[row, plus] = math.sqrt(m_minus / (m_all * m_plus))
+                functions[row, minus] = -math.sqrt(m_plus / (m_all * m_minus))
+                level_of[row], cube_of[row] = level, cube
+                row += 1
                 rem_mask = minus
-    return SHTHaarSystem(system, functions, top_cubes=len(system.centers[0]))
+    return SHTHaarSystem(system, functions, level_of, cube_of, top_cubes=len(system.centers[0]))
 
 
 def sht_expand(f: np.ndarray, basis: SHTHaarSystem):
     """Coefficients against the Haar system plus the per-top-cube means."""
     mu = basis.system.cloud.mass
-    f = np.asarray(f, dtype=float)
-    coeffs = np.array([float(np.sum(f * h.values * mu)) for h in basis.functions])
-    tops = []
-    for cube in range(len(basis.system.centers[0])):
-        pts = basis.system.cube_points(0, cube)
-        tops.append(float(np.sum(f[pts] * mu[pts]) / np.sum(mu[pts])))
-    return coeffs, np.array(tops)
+    fmu = np.asarray(f, dtype=float) * mu
+    top = basis.system.assignment[0]
+    tops = np.bincount(top, fmu, basis.top_cubes) / np.bincount(top, mu, basis.top_cubes)
+    return basis.functions @ fmu, tops
 
 
 def sht_reconstruct(coeffs: np.ndarray, tops: np.ndarray, basis: SHTHaarSystem) -> np.ndarray:
-    out = np.zeros(basis.system.cloud.n)
-    for c, h in zip(coeffs, basis.functions):
-        out += c * h.values
-    for cube, mean in enumerate(tops):
-        out[basis.system.cube_points(0, cube)] += mean
-    return out
+    return np.asarray(coeffs, dtype=float) @ basis.functions + np.asarray(tops)[basis.system.assignment[0]]
 
 
 def gram_matrix(basis: SHTHaarSystem) -> np.ndarray:
-    mu = basis.system.cloud.mass
-    H = np.array([h.values for h in basis.functions])
+    H, mu = basis.functions, basis.system.cloud.mass
     return H @ (mu[:, None] * H.T)
 
 
 def sht_projection(f: np.ndarray, basis: SHTHaarSystem, level: int, cube: int) -> np.ndarray:
     """Projection of f onto the mean-zero span over the children of one cube."""
-    mu = basis.system.cloud.mass
-    out = np.zeros(basis.system.cloud.n)
-    for h in basis.functions:
-        if h.level == level and h.cube == cube:
-            out += float(np.sum(f * h.values * mu)) * h.values
-    return out
+    rows = basis.functions[(basis.level == level) & (basis.cube == cube)]
+    return (rows @ (np.asarray(f, dtype=float) * basis.system.cloud.mass)) @ rows

@@ -521,12 +521,12 @@ def test_c10_sht():
     g = standard_grid(-2, 10)
     mesh = Mesh(g.interval(0, 0), 6)
     classical_err = 0.0
-    for h in lat_basis.functions:
-        pts = lat_basis.system.cube_points(h.level, h.cube)
-        pos = int(pts.min()) // (n >> h.level)
-        classical = haar_function(mesh, (h.level, pos)).values
+    for values, level, cube in zip(lat_basis.functions, lat_basis.level, lat_basis.cube):
+        pts = lat_basis.system.cube_points(level, cube)
+        pos = int(pts.min()) // (n >> level)
+        classical = haar_function(mesh, (int(level), pos)).values
         classical_err = max(
-            classical_err, float(np.max(np.abs(h.values * math.sqrt(n) - classical)))
+            classical_err, float(np.max(np.abs(values * math.sqrt(n) - classical)))
         )
     ok = (
         verification["partition_ok"]

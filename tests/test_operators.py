@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab.errors import SingularPointError
+from dyadlab.errors import ResolutionError, SingularPointError
 from dyadlab.grid import standard_grid, third_grid
 from dyadlab.operators import (
     LinearOperator,
@@ -42,6 +42,7 @@ from dyadlab.signal import (
     Mesh,
     StepFunction,
     analyze,
+    average,
     haar_function,
     inner,
     lp_norm,
@@ -583,6 +584,15 @@ def test_mean_oscillation_and_single_interval_commutator():
         sparse_commutator_adjoint(Fam, const, f).values, 0.0, atol=1e-14
     )
     assert mean_oscillation(const, (0, 0)) == 0.0
+
+
+def test_mean_oscillation_rejects_addresses_off_the_mesh():
+    b = rand_f(unit_mesh(6), np.random.default_rng(12))
+    for where in ((3, 99), (2, -1)):
+        with pytest.raises(ResolutionError):
+            average(b, where)
+        with pytest.raises(ResolutionError):
+            mean_oscillation(b, where)
 
 
 # -- norm estimation -----------------------------------------------------------------

@@ -46,12 +46,24 @@ def five_point_cloud():
     return QuasiMetricCloud(dist, np.ones(n), A0=2.0)
 
 
+def five_children_cloud():
+    """A pentagon of clusters: pairwise >= 0.5 but diameter < 1, so the top
+    cube splits into exactly five children."""
+    rng = np.random.default_rng(7)
+    angles = 2 * np.pi * np.arange(5) / 5
+    verts = 0.45 * np.c_[np.cos(angles), np.sin(angles)]
+    pieces = [v + 0.005 * rng.random((sz, 2)) for v, sz in zip(verts, [3, 4, 2, 5, 3])]
+    xy = np.vstack(pieces)
+    return QuasiMetricCloud.from_points(xy, mass=rng.uniform(0.5, 2.0, xy.shape[0]))
+
+
 ORACLE_CLOUDS = {
     **{f"planar{n}{'-mass' if mass else ''}": (lambda n=n, mass=mass: planar_cloud(n, n, mass))
        for n in (1, 2, 7, 64, 300) for mass in (False, True)},
     "lattice-euclidean": lambda: lattice_cloud(64),  # equidistant neighbours: ties
     "lattice-dyadic": lambda: lattice_cloud(64, metric="dyadic"),
     "five-point": five_point_cloud,
+    "five-children": five_children_cloud,
 }
 
 
@@ -120,10 +132,21 @@ def test_verify_flags_a_point_moved_under_another_parent():
     assert report["partition_ok"] and not report["nested_ok"]
 
 
+def test_constructor_rejects_asymmetry_a_nonzero_diagonal_and_a_zero_distance():
+    good = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    QuasiMetricCloud(good, np.ones(3))
+    asymmetric, diagonal, zero = good.copy(), good.copy(), good.copy()
+    asymmetric[0, 1] = 1.25
+    diagonal[2, 2] = 0.5
+    zero[0, 2] = zero[2, 0] = 0.0
+    for dist in (asymmetric, diagonal, zero):
+        with pytest.raises(ValueError):
+            QuasiMetricCloud(dist, np.ones(3))
+
+
 def test_quasi_metric_validation():
     cloud = planar_cloud(64, 0)
     report = cloud.validate()
-    assert report["symmetric"] and report["positive_definite"]
     assert report["quasi_triangle_constant"] <= 1.0 + 1e-12  # Euclidean is a metric
     assert report["A0_ok"]
 
@@ -206,14 +229,99 @@ def test_dyadic_lattice_reproduces_grid_hierarchy():
                 assert pts.min() % width == 0 and pts.size == width
 
 
+def reference_haar(system):
+    """The peeling construction cube by cube, one dense function at a time:
+    a list of (level, cube, values)."""
+    mu = system.cloud.mass
+    functions = []
+    for level in range(system.n_levels - 1):
+        here, below = system.assignment[level], system.assignment[level + 1]
+        for cube in range(len(system.centers[level])):
+            kids = system.children(level, cube)
+            if kids.size < 2:
+                continue
+            masses = [mu[below == k].sum() for k in kids]
+            order = sorted(range(kids.size), key=lambda i: (-masses[i], -kids[i]))
+            rem_mask = here == cube
+            for oi in order[:-1]:
+                plus = below == kids[oi]
+                minus = rem_mask & ~plus
+                m_plus, m_minus = float(mu[plus].sum()), float(mu[minus].sum())
+                m_all = m_plus + m_minus
+                vals = np.zeros(system.cloud.n)
+                vals[plus] = math.sqrt(m_minus / (m_all * m_plus))
+                vals[minus] = -math.sqrt(m_plus / (m_all * m_minus))
+                functions.append((level, cube, vals))
+                rem_mask = minus
+    return functions
+
+
+def reference_expand(f, functions, system):
+    mu = system.cloud.mass
+    coeffs = np.array([float(np.sum(f * vals * mu)) for _, _, vals in functions])
+    tops = []
+    for cube in range(len(system.centers[0])):
+        pts = system.cube_points(0, cube)
+        tops.append(float(np.sum(f[pts] * mu[pts]) / np.sum(mu[pts])))
+    return coeffs, np.array(tops)
+
+
+def reference_reconstruct(coeffs, tops, functions, system):
+    out = np.zeros(system.cloud.n)
+    for c, (_, _, vals) in zip(coeffs, functions):
+        out += c * vals
+    for cube, mean in enumerate(tops):
+        out[system.cube_points(0, cube)] += mean
+    return out
+
+
+def reference_projection(f, functions, system, level, cube):
+    mu = system.cloud.mass
+    out = np.zeros(system.cloud.n)
+    for lv, cb, vals in functions:
+        if (lv, cb) == (level, cube):
+            out += float(np.sum(f * vals * mu)) * vals
+    return out
+
+
+@pytest.mark.parametrize("name", ORACLE_CLOUDS)
+def test_haar_array_and_its_operations_match_the_per_function_loops(name):
+    system = build_cube_system(ORACLE_CLOUDS[name](), 0.5, k_max=8 if name == "five-point" else None)
+    basis = build_sht_haar(system)
+    expected = reference_haar(system)
+    assert basis.functions.shape == (len(expected), system.cloud.n)
+    assert basis.level.tolist() == [lv for lv, _, _ in expected]
+    assert basis.cube.tolist() == [cb for _, cb, _ in expected]
+    for row, (_, _, vals) in zip(basis.functions, expected):
+        assert np.array_equal(row, vals)
+    f = np.random.default_rng(len(name)).standard_normal(system.cloud.n)
+    coeffs, tops = sht_expand(f, basis)
+    ref_coeffs, ref_tops = reference_expand(f, expected, system)
+    np.testing.assert_allclose(coeffs, ref_coeffs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tops, ref_tops, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        sht_reconstruct(coeffs, tops, basis),
+        reference_reconstruct(coeffs, tops, expected, system),
+        rtol=0, atol=1e-12,
+    )
+    # every cube with functions, and a finest-level cube, which has none
+    cubes = {(lv, cb) for lv, cb, _ in expected} | {(system.n_levels - 1, 0)}
+    for level, cube in sorted(cubes):
+        np.testing.assert_allclose(
+            sht_projection(f, basis, level, cube),
+            reference_projection(f, expected, system, level, cube),
+            rtol=0, atol=1e-12,
+        )
+
+
 def test_two_equal_children_reproduce_classical_shape():
     cloud = lattice_cloud(8, metric="dyadic")
     basis = build_sht_haar(build_cube_system(cloud, 0.5))
-    top = [h for h in basis.functions if h.level == 0][0]
+    top = basis.functions[basis.level == 0][0]
     # +- 1/sqrt(mu(Q)) with positive sign on the second half (right child)
     amp = 1.0 / np.sqrt(8.0)
-    np.testing.assert_allclose(top.values[4:], amp)
-    np.testing.assert_allclose(top.values[:4], -amp)
+    np.testing.assert_allclose(top[4:], amp)
+    np.testing.assert_allclose(top[:4], -amp)
 
 
 def test_dyadic_lattice_matches_classical_haar_values():
@@ -225,29 +333,20 @@ def test_dyadic_lattice_matches_classical_haar_values():
     # counting measure vs Lebesgue: L2(mu) and L2(dx) normalizations differ
     # by sqrt(n) uniformly across levels; cube indices follow the greedy
     # center order, so recover the dyadic position from the point range
-    for h in basis.functions:
-        pts = basis.system.cube_points(h.level, h.cube)
-        width = n >> h.level
+    for values, level, cube in zip(basis.functions, basis.level, basis.cube):
+        pts = basis.system.cube_points(level, cube)
+        width = n >> level
         pos = int(pts.min()) // width
-        classical = haar_function(mesh, (h.level, pos)).values
-        np.testing.assert_allclose(h.values * np.sqrt(n), classical, atol=1e-12)
+        classical = haar_function(mesh, (int(level), pos)).values
+        np.testing.assert_allclose(values * np.sqrt(n), classical, atol=1e-12)
 
 
 def test_five_children_cube_gram_identity():
-    # pentagon of clusters: pairwise >= 0.5 but diameter < 1, so the top cube
-    # splits into exactly five children
-    rng = np.random.default_rng(7)
-    angles = 2 * np.pi * np.arange(5) / 5
-    verts = 0.45 * np.c_[np.cos(angles), np.sin(angles)]
-    pieces = [v + 0.005 * rng.random((sz, 2)) for v, sz in zip(verts, [3, 4, 2, 5, 3])]
-    xy = np.vstack(pieces)
-    cloud = QuasiMetricCloud.from_points(xy, mass=rng.uniform(0.5, 2.0, xy.shape[0]))
-    system = build_cube_system(cloud, 0.5)
+    system = build_cube_system(five_children_cloud(), 0.5)
     assert len(system.centers[0]) == 1
     assert len(system.centers[1]) == 5
     basis = build_sht_haar(system)
-    top_functions = [h for h in basis.functions if h.level == 0]
-    assert len(top_functions) == 4  # N(Q) - 1
+    assert np.count_nonzero(basis.level == 0) == 4  # N(Q) - 1
     G = gram_matrix(basis)
     np.testing.assert_allclose(G, np.eye(len(basis.functions)), atol=1e-10)
 
