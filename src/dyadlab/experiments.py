@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .operators import (
     sharp_truncation,
     square_norm_weighted,
 )
-from .signal import MAX_DEPTH, Mesh, StepFunction, analyze, lp_norm
+from .signal import MAX_DEPTH, MAX_SAMPLES, Mesh, StepFunction, analyze, lp_norm
 from .sparse import SparseFamily, lacey_dominate, verify_sparse
 from .weights import (
     CarlesonSequence,
@@ -98,16 +98,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        # a config file's values arrive unparsed: each must have the type its field is annotated with
+        types = {"int": (int,), "float": (int, float), "str": (str,), "tuple": (tuple, list)}
+        for field in fields(self):
+            value, (kind, _, optional) = getattr(self, field.name), field.type.partition(" | ")
+            if type(value) not in types[kind] and not (optional and value is None):
+                raise ConfigError(f"{field.name} must be of type {field.type}")
+        if any(type(m) is not int for m in (*self.margins, *self.seeds)):
+            raise ConfigError("margins and seeds must be lists of integers")
+        if not 0 < self.norm_tol < math.inf:
+            raise ConfigError("norm_tol must be a finite number > 0")
+        if self.norm_iters < 1:
+            raise ConfigError("norm_iters must be at least 1")
+        if self.samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be at most {MAX_SAMPLES} (memory guard)")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"depth must be between 1 and {MAX_DEPTH} (memory guard)")
         if self.experiment == "norms" and self.depth < 2:
             # a depth-1 power sweep has no a2 spread to fit a slope to
             raise ConfigError("norms needs depth >= 2")
-        try:
-            alphas_ok = all(float(a) > -1.0 for a in self.alphas)
-        except (TypeError, ValueError):
-            alphas_ok = False
-        if not alphas_ok:
+        if not all(type(a) in (int, float) and a > -1.0 for a in self.alphas):
             raise ConfigError("alphas must be a list of power exponents > -1")
         if self.experiment == "norms" and len({float(a) for a in self.alphas}) < 2:
             raise ConfigError("norms needs at least two distinct alphas to fit a slope")
@@ -181,9 +191,9 @@ class SweepReport:
     slope_band: tuple
 
     @classmethod
-    def fit(cls, rows, xkey="a2", ykey="norm") -> "SweepReport":
-        xs = np.log([r[xkey] for r in rows])
-        ys = np.log([r[ykey] for r in rows])
+    def fit(cls, rows) -> "SweepReport":
+        xs = np.log([r["a2"] for r in rows])
+        ys = np.log([r["norm"] for r in rows])
         A = np.c_[xs, np.ones_like(xs)]
         coef, res, *_ = np.linalg.lstsq(A, ys, rcond=None)
         slope = float(coef[0])
@@ -193,7 +203,7 @@ class SweepReport:
         sxx = float(np.sum((xs - xs.mean()) ** 2))
         stderr = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
         band = (slope - 1.96 * stderr, slope + 1.96 * stderr)
-        return cls(sorted(rows, key=lambda r: r[xkey]), slope, stderr, band)
+        return cls(sorted(rows, key=lambda r: r["a2"]), slope, stderr, band)
 
 
 def _norm_for_operator(cfg: ExperimentConfig, mesh: Mesh, w: Weight, b, sigma):

@@ -45,8 +45,8 @@ class SignSymbol:
                 raise ValueError("sign symbol values must be +-1")
 
     @classmethod
-    def constant(cls, mesh: Mesh, sign: int = 1) -> "SignSymbol":
-        return cls(mesh, [np.full(1 << l, float(sign)) for l in range(mesh.depth)])
+    def constant(cls, mesh: Mesh) -> "SignSymbol":
+        return cls(mesh, [np.ones(1 << l) for l in range(mesh.depth)])
 
     @classmethod
     def random(cls, mesh: Mesh, rng) -> "SignSymbol":
@@ -59,16 +59,10 @@ class SignSymbol:
 # -- maximal functions -------------------------------------------------------
 
 
-def maximal_dyadic(f: StepFunction, w: StepFunction | None = None) -> StepFunction:
-    """Weighted dyadic maximal function over the mesh tree, cells included."""
-    absf = np.abs(f.values)
-    if w is None:
-        ratios = means_pyramid(StepFunction(f.mesh, absf))
-    else:
-        num = means_pyramid(StepFunction(f.mesh, absf * w.values))
-        den = means_pyramid(w)
-        ratios = [n / d for n, d in zip(num, den)]
-    return StepFunction(f.mesh, broadcast(ratios, np.maximum))
+def maximal_dyadic(f: StepFunction) -> StepFunction:
+    """Dyadic maximal function over the mesh tree, cells included."""
+    means = means_pyramid(StepFunction(f.mesh, np.abs(f.values)))
+    return StepFunction(f.mesh, broadcast(means, np.maximum))
 
 
 def maximal_over_grid(f: StepFunction, grid, points) -> np.ndarray:
@@ -549,6 +543,8 @@ def operator_norm_two_weight(
     drops out).  The iteration stops once sigma changes by at most tol
     relative between steps.
     """
+    if iters < 1:
+        raise ValueError("power iteration needs at least one iteration")
     su, sv = np.sqrt(u.values), np.sqrt(v.values)
     g = np.random.default_rng(seed).standard_normal(op.mesh.n_cells)
     g /= np.linalg.norm(g)

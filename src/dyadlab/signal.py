@@ -21,6 +21,7 @@ from .errors import DegenerateWeightError, MeshMismatchError, ResolutionError
 from .grid import DyadicInterval, GridParameters, standard_grid
 
 MAX_DEPTH = 20  # 2^20 cells: the largest mesh a config or a signal file may ask for
+MAX_SAMPLES = 10 ** 6  # the most samples a config may ask for: the Bellman check holds 9 doubles each
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ step-function prefix integrals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,13 +36,11 @@ class Weight(StepFunction):
         return Weight(self.mesh, self.values ** (-1.0 / (p - 1.0)))
 
 
-def power_weight(mesh: Mesh, alpha: float, x0: float | None = None) -> Weight:
-    """|x - x0|^alpha represented by its exact cell averages (alpha > -1)."""
+def power_weight(mesh: Mesh, alpha: float) -> Weight:
+    """|x - x0|^alpha, x0 the root's left end, by its exact cell averages (alpha > -1)."""
     if alpha <= -1.0:
         raise DegenerateWeightError("power weight needs alpha > -1 for integrable cells")
-    if x0 is None:
-        x0 = mesh.root.left
-    e = mesh.cell_edges() - x0
+    e = mesh.cell_edges() - mesh.root.left
 
     def prim(t):
         return np.sign(t) * np.abs(t) ** (alpha + 1.0) / (alpha + 1.0)
@@ -50,11 +49,9 @@ def power_weight(mesh: Mesh, alpha: float, x0: float | None = None) -> Weight:
     return Weight(mesh, avg)
 
 
-def log_symbol(mesh: Mesh, x0: float | None = None) -> StepFunction:
-    """log|x - x0| by exact cell averages; the canonical unbounded BMO symbol."""
-    if x0 is None:
-        x0 = mesh.root.left
-    e = mesh.cell_edges() - x0
+def log_symbol(mesh: Mesh) -> StepFunction:
+    """log|x - x0|, x0 the root's left end, by exact cell averages; the canonical unbounded BMO symbol."""
+    e = mesh.cell_edges() - mesh.root.left
 
     def prim(t):
         out = np.zeros_like(t)
@@ -328,25 +325,31 @@ def weighted_carleson_check(
 BELLMAN_DOMAIN_DOC = "{(u,v,l): u,v>0, uv>=1, 0<=l<=1}"
 
 
-def in_bellman_domain(u: float, v: float, l: float) -> bool:
-    return u > 0 and v > 0 and u * v >= 1.0 and 0.0 <= l <= 1.0
+def in_bellman_domain(u, v, l):
+    """Elementwise membership of (u, v, l) in the Bellman domain."""
+    return (u > 0) & (v > 0) & (u * v >= 1.0) & (0.0 <= l) & (l <= 1.0)
 
 
-def bellman_B(u: float, v: float, l: float) -> float:
-    if not in_bellman_domain(u, v, l):
-        raise ValueError(f"({u},{v},{l}) outside the Bellman domain {BELLMAN_DOMAIN_DOC}")
+def _bellman_value(u, v, l):
     return u - 1.0 / (v * (1.0 + l))
 
 
-def _bellman_gradient(u, v, l):
-    return np.array([1.0, 1.0 / (v ** 2 * (1.0 + l)), 1.0 / (v * (1.0 + l) ** 2)])
+def bellman_B(u, v, l):
+    """B(u,v,l) = u - 1/(v(1+l)) at a domain point or elementwise on arrays of them."""
+    inside = in_bellman_domain(u, v, l)
+    if not np.all(inside):
+        first = np.argmin(inside)
+        point = ",".join(str(np.broadcast_to(a, np.shape(inside)).flat[first]) for a in (u, v, l))
+        raise ValueError(f"({point}) outside the Bellman domain {BELLMAN_DOMAIN_DOC}")
+    return _bellman_value(u, v, l)
 
 
-def _bellman_hessian(u, v, l):
-    h = np.zeros((3, 3))
-    h[1, 1] = -2.0 / (v ** 3 * (1.0 + l))
-    h[1, 2] = h[2, 1] = -1.0 / (v ** 2 * (1.0 + l) ** 2)
-    h[2, 2] = -2.0 / (v * (1.0 + l) ** 3)
+def _bellman_hessian(v, l):
+    """Hessians of B in (u, v, l), shape (..., 3, 3); B is linear in u."""
+    h = np.zeros(np.shape(v) + (3, 3))
+    h[..., 1, 1] = -2.0 / (v ** 3 * (1.0 + l))
+    h[..., 1, 2] = h[..., 2, 1] = -1.0 / (v ** 2 * (1.0 + l) ** 2)
+    h[..., 2, 2] = -2.0 / (v * (1.0 + l) ** 3)
     return h
 
 
@@ -369,63 +372,40 @@ def bellman_verify(sample_count: int = 10 ** 4, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     tol = 1e-12
     fd_step = 1e-5
-    report = {
-        "samples": sample_count,
-        "range_violations": 0,
-        "derivative_violations": 0,
-        "hessian_violations": 0,
-        "fd_hessian_max_error": 0.0,
-        "convexity_violations": 0,
-        "convexity_checked": 0,
-    }
     u, v, l = _sample_domain(rng, sample_count)
-    for ui, vi, li in zip(u, v, l):
-        B = bellman_B(ui, vi, li)
-        if not (-tol <= B <= ui + tol):
-            report["range_violations"] += 1
-        if _bellman_gradient(ui, vi, li)[2] < 1.0 / (4.0 * vi) - tol:
-            report["derivative_violations"] += 1
-        H = _bellman_hessian(ui, vi, li)
-        if np.max(np.linalg.eigvalsh(H)) > tol * max(1.0, np.abs(H).max()):
-            report["hessian_violations"] += 1
+    B = bellman_B(u, v, l)
+    H = _bellman_hessian(v, l)
+    scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
     # finite-difference guard on the Hessian algebra at a subsample
-    for ui, vi, li in zip(u[:50], v[:50], l[:50]):
-        if not (fd_step < li < 1 - fd_step and vi > 10 * fd_step):
-            continue
-        H = _bellman_hessian(ui, vi, li)
-        fd = np.zeros((3, 3))
-        x0 = np.array([ui, vi, li])
-        for i in range(3):
-            for j in range(3):
-                xpp = x0.copy(); xpp[i] += fd_step; xpp[j] += fd_step
-                xpm = x0.copy(); xpm[i] += fd_step; xpm[j] -= fd_step
-                xmp = x0.copy(); xmp[i] -= fd_step; xmp[j] += fd_step
-                xmm = x0.copy(); xmm[i] -= fd_step; xmm[j] -= fd_step
-                vals = [u0 - 1.0 / (v0 * (1.0 + l0)) for u0, v0, l0 in (xpp, xpm, xmp, xmm)]
-                fd[i, j] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * fd_step ** 2)
-        err = float(np.max(np.abs(fd - H)) / max(1.0, np.abs(H).max()))
-        report["fd_hessian_max_error"] = max(report["fd_hessian_max_error"], err)
+    fd = np.flatnonzero((fd_step < l[:50]) & (l[:50] < 1 - fd_step) & (v[:50] > 10 * fd_step))
+    x0 = np.stack([u[fd], v[fd], l[fd]], axis=-1)
+    fd_H = np.zeros_like(H[fd])
+    for i, j, di, dj in itertools.product(range(3), range(3), (fd_step, -fd_step), (fd_step, -fd_step)):
+        x = x0.copy()
+        x[:, i] += di
+        x[:, j] += dj
+        fd_H[:, i, j] += np.sign(di * dj) * _bellman_value(*x.T)
+    fd_H /= 4 * fd_step ** 2
     # dyadic convexity on admissible triples x - (x+ + x-)/2 = (0,0,alpha)
     up, vp, lp = _sample_domain(rng, sample_count)
     um, vm, lm = _sample_domain(rng, sample_count)
-    for i in range(sample_count):
-        lmid = 0.5 * (lp[i] + lm[i])
-        alpha = rng.uniform(0.0, 1.0 - lmid)
-        x = (0.5 * (up[i] + um[i]), 0.5 * (vp[i] + vm[i]), lmid + alpha)
-        if not in_bellman_domain(*x):
-            continue
-        gain = bellman_B(*x) - 0.5 * (
-            bellman_B(up[i], vp[i], lp[i]) + bellman_B(um[i], vm[i], lm[i])
-        )
-        report["convexity_checked"] += 1
-        if gain < alpha / (4.0 * x[1]) - tol:
-            report["convexity_violations"] += 1
-    report["ok"] = (
-        report["range_violations"] == 0
-        and report["derivative_violations"] == 0
-        and report["hessian_violations"] == 0
-        and report["convexity_violations"] == 0
-        and report["fd_hessian_max_error"] < 1e-4
+    lmid = 0.5 * (lp + lm)
+    alpha = rng.uniform(0.0, 1.0 - lmid)
+    xu, xv, xl = 0.5 * (up + um), 0.5 * (vp + vm), lmid + alpha
+    admissible = in_bellman_domain(xu, xv, xl)
+    # v > 0 and 1 + l > 0 at every triple, so the gain is finite outside the domain too
+    gain = _bellman_value(xu, xv, xl) - 0.5 * (bellman_B(up, vp, lp) + bellman_B(um, vm, lm))
+    report = {
+        "samples": sample_count,
+        "range_violations": int(np.count_nonzero(~((-tol <= B) & (B <= u + tol)))),
+        "derivative_violations": int(np.count_nonzero(1.0 / (v * (1.0 + l) ** 2) < 1.0 / (4.0 * v) - tol)),
+        "hessian_violations": int(np.count_nonzero(np.linalg.eigvalsh(H)[:, -1] > tol * scale)),
+        "fd_hessian_max_error": float(np.max(np.abs(fd_H - H[fd]) / scale[fd, None, None], initial=0.0)),
+        "convexity_violations": int(np.count_nonzero(admissible & (gain < alpha / (4.0 * xv) - tol))),
+        "convexity_checked": int(np.count_nonzero(admissible)),
+    }
+    report["ok"] = report["fd_hessian_max_error"] < 1e-4 and not any(
+        report[f"{check}_violations"] for check in ("range", "derivative", "hessian", "convexity")
     )
     return report
 

@@ -1,5 +1,5 @@
-"""Bad input through `dyadlab.cli.main`: signal and cloud files, margins and
-alphas are config errors (exit 2) with a strict-JSON message, never a
+"""Bad input through `dyadlab.cli.main`: signal, cloud and config files, margins
+and alphas are config errors (exit 2) with a strict-JSON message, never a
 traceback or NaN; a fuzz test drives every experiment with arbitrary flags."""
 
 from __future__ import annotations
@@ -138,6 +138,36 @@ def test_bad_cloud_file_is_a_config_error(tmp_path, capsys, text):
     cloud = tmp_path / "cloud.csv"
     cloud.write_text(text)
     assert_config_error(capsys, ["sht", "--cloud", str(cloud)])
+
+
+@pytest.mark.parametrize(
+    "experiment, fields",
+    [
+        ("bellman", {"depth": "abc"}),
+        ("bellman", {"samples": "x"}),
+        ("sparse-dominate", {"samples": 2.5}),
+        ("bellman", {"seed": "z"}),
+        ("bellman", {"seed": 1.5}),
+        ("average-hilbert", {"seeds": 5}),
+        ("norms", {"norm_tol": "abc"}),
+        ("norms", {"norm_iters": 2.5}),
+        ("norms", {"norm_iters": 0}),
+        ("ntv", {"norm_iters": 0}),
+        ("bellman", {"out": 5}),
+        ("average-hilbert", {"margins": [1.5]}),
+        ("bellman", {"samples": 1000001}),
+    ],
+    ids=["depth-string", "samples-string", "samples-float", "seed-string", "seed-float", "seeds-not-a-list",
+         "norm_tol-string", "norm_iters-float", "norms-norm_iters-0", "ntv-norm_iters-0", "out-number",
+         "margin-float", "samples-over-ceiling"],
+)
+def test_bad_config_file_field_is_a_config_error(tmp_path, capsys, experiment, fields):
+    # argparse types every flag, but a config file's values arrive unparsed: these once exited 1 with a
+    # traceback (norm_iters 0 as UnboundLocalError in the power iteration), or ran: margin 1.5 as margin 1,
+    # and samples above MAX_SAMPLES, of which the Bellman check holds 9 doubles each
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"depth": 4, "samples": 2, "seed": 0, **fields}))
+    assert_config_error(capsys, [experiment, "--config", str(config)])
 
 
 def test_unparsable_flag_is_a_strict_json_config_error(capsys):

@@ -801,6 +801,9 @@ def test_power_iteration_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         operator_norm_weighted(op, iters=2, tol=1e-14)
     assert err.value.last_value > 0  # last iterate reported
+    # no iteration at all once raised UnboundLocalError on the unset sigma
+    with pytest.raises(ValueError, match="at least one iteration"):
+        operator_norm_weighted(op, iters=0)
 
 
 def shifted_grid_transform_oracle(f, r, shifts, j_lo, j_hi):

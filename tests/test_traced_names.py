@@ -1,0 +1,44 @@
+"""The benchmark's tracer (`bench/tracing.py`) wraps dyadlab functions by
+name and reads some of their arguments by name; a refactor that renames one
+fails here, in the tier-1 suite, not only in a traced benchmark run."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+)
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)  # standard library only: it imports no dyadlab module
+
+
+def resolve(module: str, path: str):
+    obj = importlib.import_module(f"dyadlab.{module}")
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+@pytest.mark.parametrize("module, path", sorted(tracing.TRACED))
+def test_traced_name_resolves_to_a_callable(module, path):
+    assert callable(resolve(module, path))
+
+
+@pytest.mark.parametrize(
+    "module, path, arguments",
+    [
+        ("operators", "maximal_dyadic", {"f"}),
+        ("operators", "shifted_grid_transform", {"f", "j_lo", "j_hi"}),
+        ("operators", "hilbert_exact", {"f", "x_points"}),
+    ],
+)
+def test_measured_arguments_are_in_the_signature(module, path, arguments):
+    # the tracer's _MEASURES bind each call's arguments and read these by name
+    assert tracing.TRACED[(module, path)] in tracing._MEASURES
+    assert arguments <= set(inspect.signature(resolve(module, path)).parameters)

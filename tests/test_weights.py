@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from dyadlab import weights
 from dyadlab.errors import DegenerateWeightError
 from dyadlab.experiments import sweep_mesh
 from dyadlab.grid import standard_grid
@@ -20,6 +23,7 @@ from dyadlab.weights import (
     ap_characteristic_report,
     bellman_B,
     bellman_verify,
+    in_bellman_domain,
     bmo_dyadic_norm,
     carleson_intensity,
     fkp_sequence,
@@ -305,6 +309,108 @@ def test_bellman_formula_values():
         bellman_B(0.5, 0.5, 0.0)  # uv < 1
     with pytest.raises(ValueError):
         bellman_B(2.0, 2.0, 1.5)  # l > 1
+
+
+def test_bellman_B_on_arrays():
+    u, v, l = weights._sample_domain(np.random.default_rng(4), 200)
+    expected = [bellman_B(a, b, c) for a, b, c in zip(u.tolist(), v.tolist(), l.tolist())]
+    assert bellman_B(u, v, l).tolist() == expected
+    l[[7, 9]] = 1.5
+    assert np.flatnonzero(~in_bellman_domain(u, v, l)).tolist() == [7, 9]
+    with pytest.raises(ValueError, match=re.escape(f"({u[7]},{v[7]},1.5) outside")):
+        bellman_B(u, v, l)
+
+
+def _reference_gradient(u, v, l):
+    return np.array([1.0, 1.0 / (v ** 2 * (1.0 + l)), 1.0 / (v * (1.0 + l) ** 2)])
+
+
+def _reference_in_domain(u, v, l):
+    return u > 0 and v > 0 and u * v >= 1.0 and 0.0 <= l <= 1.0
+
+
+def _reference_B(u, v, l):
+    if not _reference_in_domain(u, v, l):
+        raise ValueError(f"({u},{v},{l}) outside the Bellman domain")
+    return u - 1.0 / (v * (1.0 + l))
+
+
+def reference_bellman_verify(sample_count, seed):
+    """The per-sample loops that `bellman_verify` replaced, kept as its oracle;
+    the Hessian comes from the module so that a patched one reaches both."""
+    rng = np.random.default_rng(seed)
+    tol = 1e-12
+    fd_step = 1e-5
+    report = {
+        "samples": sample_count,
+        "range_violations": 0,
+        "derivative_violations": 0,
+        "hessian_violations": 0,
+        "fd_hessian_max_error": 0.0,
+        "convexity_violations": 0,
+        "convexity_checked": 0,
+    }
+    u, v, l = weights._sample_domain(rng, sample_count)
+    for ui, vi, li in zip(u, v, l):
+        B = _reference_B(ui, vi, li)
+        if not (-tol <= B <= ui + tol):
+            report["range_violations"] += 1
+        if _reference_gradient(ui, vi, li)[2] < 1.0 / (4.0 * vi) - tol:
+            report["derivative_violations"] += 1
+        H = weights._bellman_hessian(vi, li)
+        if np.max(np.linalg.eigvalsh(H)) > tol * max(1.0, np.abs(H).max()):
+            report["hessian_violations"] += 1
+    for ui, vi, li in zip(u[:50], v[:50], l[:50]):
+        if not (fd_step < li < 1 - fd_step and vi > 10 * fd_step):
+            continue
+        H = weights._bellman_hessian(vi, li)
+        fd = np.zeros((3, 3))
+        x0 = np.array([ui, vi, li])
+        for i in range(3):
+            for j in range(3):
+                xpp = x0.copy(); xpp[i] += fd_step; xpp[j] += fd_step
+                xpm = x0.copy(); xpm[i] += fd_step; xpm[j] -= fd_step
+                xmp = x0.copy(); xmp[i] -= fd_step; xmp[j] += fd_step
+                xmm = x0.copy(); xmm[i] -= fd_step; xmm[j] -= fd_step
+                vals = [u0 - 1.0 / (v0 * (1.0 + l0)) for u0, v0, l0 in (xpp, xpm, xmp, xmm)]
+                fd[i, j] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * fd_step ** 2)
+        err = float(np.max(np.abs(fd - H)) / max(1.0, np.abs(H).max()))
+        report["fd_hessian_max_error"] = max(report["fd_hessian_max_error"], err)
+    up, vp, lp = weights._sample_domain(rng, sample_count)
+    um, vm, lm = weights._sample_domain(rng, sample_count)
+    for i in range(sample_count):
+        lmid = 0.5 * (lp[i] + lm[i])
+        alpha = rng.uniform(0.0, 1.0 - lmid)
+        x = (0.5 * (up[i] + um[i]), 0.5 * (vp[i] + vm[i]), lmid + alpha)
+        if not _reference_in_domain(*x):
+            continue
+        gain = _reference_B(*x) - 0.5 * (_reference_B(up[i], vp[i], lp[i]) + _reference_B(um[i], vm[i], lm[i]))
+        report["convexity_checked"] += 1
+        if gain < alpha / (4.0 * x[1]) - tol:
+            report["convexity_violations"] += 1
+    report["ok"] = (
+        report["range_violations"] == 0
+        and report["derivative_violations"] == 0
+        and report["hessian_violations"] == 0
+        and report["convexity_violations"] == 0
+        and report["fd_hessian_max_error"] < 1e-4
+    )
+    return report
+
+
+@pytest.mark.parametrize("sample_count", [1, 2, 50, 500, 2000, 10 ** 4])
+def test_bellman_verify_matches_the_per_sample_loops(sample_count):
+    for seed in range(6):
+        expected = json.dumps(reference_bellman_verify(sample_count, seed))
+        assert json.dumps(bellman_verify(sample_count, seed)) == expected, (sample_count, seed)
+
+
+def test_bellman_verify_counts_a_negated_hessian_like_the_loops(monkeypatch):
+    hessian = weights._bellman_hessian
+    monkeypatch.setattr(weights, "_bellman_hessian", lambda v, l: -hessian(v, l))
+    report = bellman_verify(500, 1)
+    assert json.dumps(report) == json.dumps(reference_bellman_verify(500, 1))
+    assert report["hessian_violations"] == 500 and not report["ok"]
 
 
 def test_bellman_verify_clean():
