@@ -50,17 +50,6 @@ from .weights import (
     power_weight,
 )
 
-EXPERIMENTS = (
-    "haar",
-    "norms",
-    "average-hilbert",
-    "sparse-dominate",
-    "carleson",
-    "bellman",
-    "sht",
-    "ntv",
-)
-
 DEFAULT_ALPHAS = (0.3, 0.6, 0.9, 1.2, 1.5, 1.75, 2.0)
 
 CSV_HEADERS = {
@@ -110,8 +99,8 @@ class ExperimentConfig:
             raise ConfigError("norm_tol must be a finite number > 0")
         if self.norm_iters < 1:
             raise ConfigError("norm_iters must be at least 1")
-        if self.samples > MAX_SAMPLES:
-            raise ConfigError(f"samples must be at most {MAX_SAMPLES} (memory guard)")
+        if not 0 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples must be between 0 and {MAX_SAMPLES} (memory guard)")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"depth must be between 1 and {MAX_DEPTH} (memory guard)")
         if self.experiment == "norms" and self.depth < 2:
@@ -121,14 +110,7 @@ class ExperimentConfig:
             raise ConfigError("alphas must be a list of power exponents > -1")
         if self.experiment == "norms" and len({float(a) for a in self.alphas}) < 2:
             raise ConfigError("norms needs at least two distinct alphas to fit a slope")
-        randomized = self.experiment in (
-            "norms",
-            "average-hilbert",
-            "sparse-dominate",
-            "carleson",
-            "bellman",
-        )
-        if randomized and self.seed is None:
+        if self.seed is None and self.experiment not in ("haar", "sht", "ntv"):
             raise ConfigError(f"experiment {self.experiment!r} requires a seed")
         if self.fmt not in ("csv", "json", "both"):
             raise ConfigError("format must be csv, json or both")
@@ -458,6 +440,7 @@ def run_haar(cfg: ExperimentConfig) -> dict:
 
 
 RUNNERS = {
+    "haar": run_haar,
     "norms": run_norms,
     "average-hilbert": run_average_hilbert,
     "sparse-dominate": run_sparse_dominate,
@@ -465,8 +448,8 @@ RUNNERS = {
     "bellman": run_bellman,
     "sht": run_sht,
     "ntv": run_ntv,
-    "haar": run_haar,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def mesh_fields(mesh: Mesh) -> dict:

@@ -257,6 +257,9 @@ def chung_decomposition(b: StepFunction, f: StepFunction):
 # -- exact Hilbert transform --------------------------------------------------
 
 
+HILBERT_BLOCK_ELEMENTS = 1 << 20  # cap on one block of hilbert_exact's points x active-edges logs
+
+
 def hilbert_exact(f: StepFunction, x_points=None) -> np.ndarray:
     """H f at the given points, exactly, for the zero-extended step function.
 
@@ -265,7 +268,8 @@ def hilbert_exact(f: StepFunction, x_points=None) -> np.ndarray:
     the jump of f at edge e_k.  x_points defaults to the cell midpoints,
     which dodge the log singularities.  There x_i - e_k = (i - k + 1/2) h,
     so the sum is a Toeplitz product, evaluated by FFT in O(N log N) time and
-    O(N) memory.  Other points take the dense points x active-edges sum.
+    O(N) memory.  Other points take the dense points x active-edges sum, in
+    blocks of points of at most HILBERT_BLOCK_ELEMENTS entries.
     Points falling on an edge where f jumps raise SingularPointError; edges
     with equal values on both sides contribute nothing and are safe.
     """
@@ -273,12 +277,15 @@ def hilbert_exact(f: StepFunction, x_points=None) -> np.ndarray:
     xs = None if x_points is None else np.asarray(x_points, dtype=float)
     if xs is None or np.array_equal(xs, f.mesh.cell_midpoints()):
         return _hilbert_at_midpoints(jumps, f.mesh.cell_length)
-    edges = f.mesh.cell_edges()
     active = jumps != 0.0
-    if np.any(np.isin(xs, edges[active])):
+    edges, jumps = f.mesh.cell_edges()[active], jumps[active]
+    if np.any(np.isin(xs, edges)):
         raise SingularPointError("evaluation point coincides with a jump of f")
-    logs = np.log(np.abs(xs[:, None] - edges[None, active]))
-    return (logs @ jumps[active]) / math.pi
+    out = np.empty(xs.size)
+    rows = max(1, HILBERT_BLOCK_ELEMENTS // max(1, edges.size))
+    for i in range(0, xs.size, rows):
+        out[i : i + rows] = np.log(np.abs(xs[i : i + rows, None] - edges)) @ jumps
+    return out / math.pi
 
 
 def _hilbert_at_midpoints(jumps: np.ndarray, h: float) -> np.ndarray:

@@ -318,17 +318,6 @@ def synthesize(s: HaarSpectrum) -> StepFunction:
     return StepFunction(s.mesh, cells)
 
 
-def analyze_direct(f: StepFunction) -> HaarSpectrum:
-    """O(N^2) analysis by direct inner products; retained as a test oracle."""
-    mesh = f.mesh
-    levels = []
-    for level in range(mesh.depth):
-        levels.append(
-            np.array([inner(f, haar_function(mesh, (level, p))) for p in range(1 << level)])
-        )
-    return HaarSpectrum(mesh, average(f, (0, 0)), levels)
-
-
 # -- weighted Haar system --------------------------------------------------
 
 

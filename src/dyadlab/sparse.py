@@ -17,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, InfeasibleError, ResolutionError
-from .operators import (
-    SignSymbol,
-    martingale_transform,
-    maximal_dyadic,
-    oscillations,
-    positive_dyadic_operator,
-    sharp_truncation,
-)
-from .signal import Mesh, StepFunction, pyramid
+from .operators import SignSymbol, martingale_transform, positive_dyadic_operator
+from .signal import Mesh, StepFunction, analyze, broadcast, pyramid
 from .weights import CarlesonSequence, carleson_intensity
 
 
@@ -204,61 +197,104 @@ def lacey_dominate(
     has at most half the mass of its interval and the pointwise check passes.
     """
     mesh = f.mesh
-    top_sl = mesh.cell_slice(*top)
-    loc = np.zeros(mesh.n_cells)
-    loc[top_sl] = f.values[top_sl]
-    if not np.any(np.abs(loc) > 0):
+    inside = np.zeros(mesh.n_cells, dtype=bool)
+    inside[mesh.cell_slice(*top)] = True
+    floc = StepFunction(mesh, np.where(inside, f.values, 0.0))
+    if not np.any(np.abs(floc.values) > 0):
         raise ValueError("f must have positive mass on the top interval")
-    floc = StepFunction(mesh, loc)
-    lhs = np.abs(martingale_transform(floc, sigma).values)
-    outside = np.ones(mesh.n_cells, dtype=bool)
-    outside[top_sl] = False
-    lhs[outside] = 0.0
+    lhs = np.where(inside, np.abs(martingale_transform(floc, sigma).values), 0.0)
     candidates = [C0] if C0 is not None else [4.0 * 2.0 ** k for k in range(15)]
     last_error: Exception | None = None
     for c0 in candidates:
+        owner = np.full(mesh.n_cells, -1)
         try:
-            family = _lacey_build(floc, sigma, top, c0)
+            family = SparseFamily(mesh, _stopping_tree(mesh, [top], _lacey_rule(floc, sigma, c0), owner), owner)
         except CalibrationError as exc:
             last_error = exc
             continue
         ok, report = verify_sparse(family)
         if not ok:
             raise CalibrationError(f"certificate verification failed: {report}")
-        rhs = c0 * sparse_operator(family, StepFunction(mesh, np.abs(loc))).values
+        rhs = c0 * sparse_operator(family, abs(floc)).values
         if np.all(lhs <= rhs + 1e-12):
             return family, c0
         last_error = CalibrationError(f"pointwise domination failed at C0={c0}")
     raise last_error
 
 
-def _lacey_build(floc: StepFunction, sigma: SignSymbol, top, c0) -> SparseFamily:
+def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float):
+    """Lacey's stopping rule: at a member Q, stop where the dyadic maximal
+    function or the sharp truncation of f 1_Q exceeds C0 <|f|>_Q / 2; skip Q
+    when f vanishes on it.
+
+    Both are read off Q's slices of pyramids built once for f 1_I0, and match
+    the two operators on a zero-padded copy of the mesh bit for bit.  Above
+    Q, the means of |f 1_Q| halve and its Haar partial sums stay below
+    |<f>_Q| (a geometric series), so neither raises the maximum.  The last
+    partial sum, at Q, starts the sums inside Q: it is replayed along Q's
+    ancestor path, where f 1_Q has one nonzero mean per level, with the float
+    operations of `analyze` and `partial_sums`.
+    """
     mesh = floc.mesh
-    members: list[tuple[int, int]] = []
-    owner = np.full(mesh.n_cells, -1)
-    stack = [top]
+    absf = np.abs(floc.values)
+    abs_means, means = pyramid(absf, np.mean), pyramid(floc.values, np.mean)
+    scales = [0.5 * math.sqrt(mesh.level_length(l)) for l in range(mesh.depth)]  # those of `analyze`
+    amps = [1.0 / math.sqrt(mesh.level_length(l)) for l in range(mesh.depth)]  # and of `partial_sums`
+    steps = [c * sg * amp for c, sg, amp in zip(analyze(floc).levels, sigma.levels, amps)]
+
+    def rule(level, pos):
+        sl = mesh.cell_slice(level, pos)
+        avg_abs = float(np.mean(absf[sl]))
+        if avg_abs == 0.0:
+            return None  # nothing left to dominate below this interval
+        mean, coeffs = means[level][pos], []
+        for l in range(level - 1, -1, -1):  # analysis up the path: sibling means are 0
+            pair = (0.0, mean) if pos >> (level - 1 - l) & 1 else (mean, 0.0)
+            coeffs.append((pair[1] - pair[0]) * scales[l] * sigma.levels[l][pos >> (level - l)])
+            mean = (pair[0] + pair[1]) / 2
+        total = 0.0  # partial sums down the path, from the zero mean term
+        for l, c in enumerate(reversed(coeffs)):
+            total = total + c * amps[l] if pos >> (level - 1 - l) & 1 else total - c * amps[l]
+        below = _subtree(abs_means, level, pos)
+        tops, sums = below[:1], np.array([total])
+        for m, step in zip(below[1:], _subtree(steps, level, pos)):
+            sums = np.repeat(sums, 2)
+            sums[0::2] -= step
+            sums[1::2] += step
+            tops.append(np.maximum(m, np.abs(sums)))
+        stopping = broadcast(tops, np.maximum) > 0.5 * c0 * avg_abs
+        if int(stopping.sum()) * 2 > sl.stop - sl.start:
+            raise CalibrationError(f"stopping set exceeds half of ({level},{pos}) at C0={c0}")
+        return stopping
+
+    return rule
+
+
+def _subtree(levels, level: int, pos: int) -> list[np.ndarray]:
+    """The slices of per-level tree arrays that lie inside (level, pos), from
+    its own level down."""
+    return [a[pos << (l - level) : (pos + 1) << (l - level)] for l, a in enumerate(levels[level:], level)]
+
+
+def _stopping_tree(mesh: Mesh, tops, rule, owner: np.ndarray | None = None) -> list[tuple[int, int]]:
+    """The members of a stopping-time tree, walked depth-first from `tops`.
+
+    rule(level, pos) returns the interval's stopping mask over its cells, or
+    None to skip it: a skipped interval is no member and nothing below it is
+    visited.  A member's cells outside its mask get its index in `owner`, and
+    its maximal stopping intervals are visited next, the rightmost first.
+    """
+    members, stack = [], list(reversed(tops))
     while stack:
         level, pos = stack.pop()
-        sl = mesh.cell_slice(level, pos)
-        width = sl.stop - sl.start
-        avg_abs = float(np.mean(np.abs(floc.values[sl])))
-        if avg_abs == 0.0:
-            continue  # nothing left to dominate below this interval
-        local = np.zeros(mesh.n_cells)
-        local[sl] = floc.values[sl]
-        g = StepFunction(mesh, local)
-        threshold = 0.5 * c0 * avg_abs
-        m_vals = maximal_dyadic(g).values[sl]
-        t_vals = sharp_truncation(g, sigma).values[sl]
-        stopping = np.maximum(m_vals, t_vals) > threshold
-        if int(stopping.sum()) * 2 > width:
-            raise CalibrationError(
-                f"stopping set exceeds half of ({level},{pos}) at C0={c0}"
-            )
-        owner[sl][~stopping] = len(members)
+        stopping = rule(level, pos)
+        if stopping is None:
+            continue
+        if owner is not None:
+            owner[mesh.cell_slice(level, pos)][~stopping] = len(members)
         members.append((level, pos))
         stack.extend(_maximal_intervals(mesh, level, pos, stopping))
-    return SparseFamily(mesh, members, owner)
+    return members
 
 
 def _maximal_intervals(mesh: Mesh, level: int, pos: int, stopping: np.ndarray):
@@ -280,60 +316,39 @@ def _maximal_intervals(mesh: Mesh, level: int, pos: int, stopping: np.ndarray):
     return sorted(out, key=lambda m: m[1] << (mesh.depth - m[0]))
 
 
-# -- oscillation-domination probe ------------------------------------------------
+# -- the oscillation enlargement ---------------------------------------------------
 
 
-def lor_oscillation_check(family: SparseFamily, b: StepFunction) -> dict:
-    """Probe the oscillation-domination lemma with a greedy enlargement.
+def lor_enlargement(family: SparseFamily, b: StepFunction) -> tuple[SparseFamily, float]:
+    """The enlargement S~ of S of Lerner-Ombrosi-Rivera-Rios (Adv. Math. 319,
+    2017, Lemma 5.1), by its stopping rule: at Q, stop on the maximal P where
+    the dyadic maximal function of |b - <b>_Q| on Q exceeds 4 Omega(b;Q).
 
-    For each member Q, compares |b - <b>_Q| against
-    8 * sum_{R in S~, R subset Q} Omega(b;R) 1_R with S~ grown greedily by
-    the descendant of largest mean oscillation through the worst cell, and
-    reports whether the factor-8 bound is met within 8 |S| + 128 additions
-    per member.  The lemma guarantees SOME enlargement works; a failure here
-    indicts the greedy choice, not the lemma.
+    S~ holds these trees from every member of S.  A stopping set holds at
+    most |Q|/4 (weak (1,1)) and |<b>_P - <b>_Q| <= 8 Omega(b;Q), so
+    |b - <b>_Q| <= 8 sum_{R in S~, R in Q} Omega(b;R) 1_R on each Q in S~.
+    Returns S~ and the worst ratio of the two sides over S~.
     """
     mesh = family.mesh
-    budget = 8 * len(family.members) + 128
-    # osc[l][p] = Omega(b; (l, p))
-    osc = [s / (1 << (mesh.depth - l)) for l, s in enumerate(oscillations(b))]
-    enlarged = set(family.members)
-    report = {"per_member": {}, "all_met": True, "added": 0}
-    for q in family.members:
-        added = 0
-        while True:
-            ratio, worst_cell = _osc_ratio(mesh, b, osc, enlarged, q)
-            if ratio <= 8.0 + 1e-9 or added >= budget:
-                break
-            cand = _best_descendant(mesh, osc, enlarged, q, worst_cell)
-            if cand is None:
-                break
-            enlarged.add(cand)
-            added += 1
-        report["added"] += added
-        report["per_member"][q] = {"ratio": ratio, "met": bool(ratio <= 8.0 + 1e-9)}
-        report["all_met"] = report["all_met"] and ratio <= 8.0 + 1e-9
-    report["enlarged_size"] = len(enlarged)
-    return report
+    omega = [np.zeros(1 << l) for l in range(mesh.depth + 1)]  # Omega(b;R) on the members of S~
+    seen = set()
 
+    def deviation(level, pos):
+        chunk = b.values[mesh.cell_slice(level, pos)]
+        return np.abs(chunk - chunk.mean())
 
-def _osc_ratio(mesh, b, osc, family_set, q):
-    level, pos = q
-    sl = mesh.cell_slice(level, pos)
-    lhs = np.abs(b.values[sl] - b.values[sl].mean())
-    rhs = np.zeros(sl.stop - sl.start)
-    for (l, p) in family_set:
-        if l < level or (p >> (l - level)) != pos:
-            continue
-        rsl = mesh.cell_slice(l, p)
-        rhs[rsl.start - sl.start : rsl.stop - sl.start] += osc[l][p]
-    ratios = np.where(lhs <= 1e-15, 0.0, lhs / np.where(rhs > 0, rhs, np.inf))
-    worst = int(np.argmax(ratios))
-    return float(ratios[worst]), sl.start + worst
+    def rule(level, pos):
+        if (level, pos) in seen:
+            return None  # grown already, from an earlier member of S
+        seen.add((level, pos))
+        means = pyramid(deviation(level, pos), np.mean)
+        omega[level][pos] = means[0][0]
+        return broadcast(means, np.maximum) > 4.0 * means[0][0]
 
-
-def _best_descendant(mesh, osc, family_set, q, cell):
-    """Largest-oscillation tree interval through `cell` inside q, not yet chosen."""
-    path = [(l, cell >> (mesh.depth - l)) for l in range(q[0], mesh.depth + 1)]
-    fresh = [key for key in path if key not in family_set and osc[key[0]][key[1]] > 0.0]
-    return max(fresh, key=lambda key: osc[key[0]][key[1]], default=None)
+    enlarged = _stopping_tree(mesh, family.members, rule)
+    ratio = 0.0
+    for level, pos in enlarged:
+        h = deviation(level, pos)
+        rhs = broadcast(_subtree(omega, level, pos), np.add)
+        ratio = max(ratio, float(np.max(np.divide(h, rhs, out=np.zeros_like(h), where=h > 0.0))))
+    return SparseFamily(mesh, enlarged), ratio

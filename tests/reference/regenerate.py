@@ -1,0 +1,38 @@
+"""Rewrite the reference reports in this directory.
+
+Each `<stem>.json` is the full report that `dyadlab.experiments.run` returns
+for the config below, the same report the CLI writes for those flags.
+`tests/test_reference.py` reruns the config stored in each file and compares
+its rows and family exactly.  Run from the repository root:
+
+    PYTHONPATH=src python3 tests/reference/regenerate.py
+
+A change that rewrites a reference says in CHANGES.md which numbers moved,
+and why.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from dyadlab.experiments import ExperimentConfig, run, strict_json
+
+HERE = Path(__file__).resolve().parent
+
+REFERENCES = {
+    # the README example: dyadlab sparse-dominate --depth 10 --samples 20 --seed 7
+    "sparse_dominate_d10_s7": dict(experiment="sparse-dominate", depth=10, samples=20, seed=7),
+    # one deep run: dyadlab sparse-dominate --depth 14 --samples 1 --seed 0
+    "sparse_dominate_d14_s0": dict(experiment="sparse-dominate", depth=14, samples=1, seed=0),
+}
+
+
+def main():
+    for stem, fields in REFERENCES.items():
+        path = HERE / f"{stem}.json"
+        path.write_text(strict_json(run(ExperimentConfig(**fields)), indent=2) + "\n")
+        print(path)
+
+
+if __name__ == "__main__":
+    main()

@@ -156,10 +156,14 @@ def test_bad_cloud_file_is_a_config_error(tmp_path, capsys, text):
         ("bellman", {"out": 5}),
         ("average-hilbert", {"margins": [1.5]}),
         ("bellman", {"samples": 1000001}),
+        ("carleson", {"samples": -5}),
+        ("sparse-dominate", {"samples": -3}),
+        ("bellman", {"samples": -5}),
     ],
     ids=["depth-string", "samples-string", "samples-float", "seed-string", "seed-float", "seeds-not-a-list",
          "norm_tol-string", "norm_iters-float", "norms-norm_iters-0", "ntv-norm_iters-0", "out-number",
-         "margin-float", "samples-over-ceiling"],
+         "margin-float", "samples-over-ceiling", "carleson-samples-negative", "sparse-dominate-samples-negative",
+         "bellman-samples-negative"],
 )
 def test_bad_config_file_field_is_a_config_error(tmp_path, capsys, experiment, fields):
     # argparse types every flag, but a config file's values arrive unparsed: these once exited 1 with a
@@ -168,6 +172,15 @@ def test_bad_config_file_field_is_a_config_error(tmp_path, capsys, experiment, f
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"depth": 4, "samples": 2, "seed": 0, **fields}))
     assert_config_error(capsys, [experiment, "--config", str(config)])
+
+
+@pytest.mark.parametrize(
+    "experiment, samples", [("carleson", "-5"), ("sparse-dominate", "-3"), ("bellman", "-5")]
+)
+def test_negative_samples_flag_is_a_config_error(capsys, experiment, samples):
+    # these once exited 0: carleson ran no little-lemma sample, sparse-dominate
+    # one run and bellman its 10^4-sample floor
+    assert_config_error(capsys, [experiment, "--depth", "4", "--seed", "0", "--samples", samples])
 
 
 def test_unparsable_flag_is_a_strict_json_config_error(capsys):

@@ -382,6 +382,24 @@ def test_hilbert_even_symmetry_zero():
     assert abs(val[0]) < 1e-10
 
 
+def test_hilbert_off_midpoints_in_bounded_blocks(monkeypatch):
+    # the points x active-edges log array is built a block of points at a time;
+    # f jumps at all 65 edges, so a cap of 64 entries leaves one point per block
+    # (the least a block holds) and a cap of 2600 forty, with a short last block
+    from dyadlab import operators
+
+    mesh = unit_mesh(6)
+    rng = np.random.default_rng(8)
+    f = StepFunction(mesh, rng.standard_normal(mesh.n_cells))
+    xs = rng.uniform(-0.5, 1.5, 300)
+    jumps = np.diff(f.values, prepend=0.0, append=0.0)
+    assert np.all(jumps != 0.0)
+    want = np.log(np.abs(xs[:, None] - mesh.cell_edges()[None, :])) @ jumps / math.pi
+    for cap in (64, 2600, 1 << 20):
+        monkeypatch.setattr(operators, "HILBERT_BLOCK_ELEMENTS", cap)
+        np.testing.assert_allclose(hilbert_exact(f, xs), want, rtol=1e-12)
+
+
 def test_hilbert_singular_point_error():
     mesh = unit_mesh(4)
     f = StepFunction(mesh, np.arange(16.0))  # every edge carries a jump

@@ -10,10 +10,10 @@ import pytest
 from dyadlab.errors import MeshMismatchError, ResolutionError
 from dyadlab.grid import standard_grid, sample_random_grid
 from dyadlab.signal import (
+    HaarSpectrum,
     Mesh,
     StepFunction,
     analyze,
-    analyze_direct,
     average,
     haar_function,
     inner,
@@ -28,6 +28,16 @@ from dyadlab.signal import (
 def unit_mesh(depth=6):
     g = standard_grid(-2, depth + 2)
     return Mesh(g.interval(0, 0), depth)
+
+
+def analyze_direct(f: StepFunction) -> HaarSpectrum:
+    """O(N^2) analysis by direct inner products."""
+    mesh = f.mesh
+    levels = [
+        np.array([inner(f, haar_function(mesh, (level, p))) for p in range(1 << level)])
+        for level in range(mesh.depth)
+    ]
+    return HaarSpectrum(mesh, average(f, (0, 0)), levels)
 
 
 def random_function(mesh, rng):

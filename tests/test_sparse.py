@@ -9,7 +9,13 @@ import pytest
 
 from dyadlab.errors import CalibrationError, InfeasibleError, ResolutionError
 from dyadlab.grid import standard_grid
-from dyadlab.operators import SignSymbol
+from dyadlab.operators import (
+    SignSymbol,
+    martingale_transform,
+    maximal_dyadic,
+    oscillations,
+    sharp_truncation,
+)
 from dyadlab.signal import Mesh, StepFunction, inner
 from dyadlab.sparse import (
     SparseFamily,
@@ -17,7 +23,7 @@ from dyadlab.sparse import (
     carleson_constant,
     construct_certificates,
     lacey_dominate,
-    lor_oscillation_check,
+    lor_enlargement,
     sparse_operator,
     verify_sparse,
 )
@@ -366,30 +372,79 @@ def test_to_json_runs_match_per_member_encoding():
     assert SparseFamily.from_json(fam.mesh, fam.to_json()).owner is None
 
 
+SYMBOLS = (
+    lambda rng, n: rng.standard_normal(n),
+    lambda rng, n: rng.standard_normal(n) ** 3,  # heavy tails push the ratio towards 8
+    lambda rng, n: rng.standard_normal(n) * (rng.random(n) < 0.05),  # spikes: stopping sets near |Q|/4
+)
+
+
+def lor_stopping_oracle(mesh, b, q):
+    """The cells of q where some dyadic P inside q, cells included, has
+    <|b - <b>_q|>_P > 4 Omega(b;q): block means by reshape, widest first."""
+    chunk = b.values[mesh.cell_slice(*q)]
+    h = np.abs(chunk - chunk.mean())
+    stop, width = np.zeros(h.size, bool), h.size
+    while width:
+        stop |= np.repeat(h.reshape(-1, width).mean(axis=1) > 4.0 * h.mean(), width)
+        width //= 2
+    return stop
+
+
+def reference_lor_enlargement(mesh, b, members) -> set:
+    """S with the trees of `lor_stopping_oracle` grown from its members."""
+    out, todo = set(), list(members)
+    while todo:
+        q = todo.pop()
+        if q not in out:
+            out.add(q)
+            todo += maximal_intervals_oracle(mesh, *q, lor_stopping_oracle(mesh, b, q))
+    return out
+
+
 def test_lor_oscillation_probe():
     mesh = unit_mesh(6)
     rng = np.random.default_rng(12)
     const = StepFunction(mesh, np.full(mesh.n_cells, 2.0))
     fam = SparseFamily(mesh, [(0, 0), (1, 0), (2, 3)])
-    report = lor_oscillation_check(fam, const)
-    assert report["all_met"]
-    assert all(v["ratio"] == 0.0 for v in report["per_member"].values())
-    # b = Haar on Q with S = {Q, Q_l, Q_r}: both sides computable directly
+    assert lor_enlargement(fam, const) == (fam, 0.0)
+    # b = Haar on Q with S = {Q, Q_l, Q_r}: b is constant on the halves, so nothing is added
     from dyadlab.signal import haar_function
 
-    b = haar_function(mesh, (0, 0))
     fam2 = SparseFamily(mesh, [(0, 0), (1, 0), (1, 1)])
-    report2 = lor_oscillation_check(fam2, b)
-    assert report2["per_member"][(0, 0)]["ratio"] <= 8.0 + 1e-9
-    # random symbols on random families at depth <= 8, greedy augmentation
+    assert lor_enlargement(fam2, haar_function(mesh, (0, 0))) == (fam2, 1.0)
+    # random families and symbols: the bound 8 and the weak-(1,1) bound |Q|/4 hold by construction
     for depth in [6, 8]:
         mesh = unit_mesh(depth)
-        for _ in range(50):
-            fam = random_family(mesh, rng, density=0.1)
-            b = StepFunction(mesh, rng.standard_normal(mesh.n_cells))
-            rep = lor_oscillation_check(fam, b)
-            for q, row in rep["per_member"].items():
-                assert row["met"] or row["ratio"] > 8.0  # either met or honestly reported
+        for i in range(50):
+            fam = random_family(mesh, rng, density=0.05)
+            b = StepFunction(mesh, SYMBOLS[i % 3](rng, mesh.n_cells))
+            enlarged, ratio = lor_enlargement(fam, b)
+            assert ratio <= 8.0
+            assert set(fam.members) <= set(enlarged.members)
+            assert set(enlarged.members) == reference_lor_enlargement(mesh, b, fam.members)
+            for q in enlarged.members:
+                assert 4 * int(lor_stopping_oracle(mesh, b, q).sum()) <= 1 << (depth - q[0])
+            # the greedy probe, handed S~, finds every member within the bound and adds nothing
+            greedy = reference_lor_probe(enlarged, b)
+            assert greedy["added"] == 0 and greedy["all_met"]
+            worst = max(row["ratio"] for row in greedy["per_member"].values())
+            assert worst == pytest.approx(ratio, rel=1e-9, abs=1e-12)
+
+
+def test_lor_enlargement_is_sparse():
+    # b is constant on blocks of 8 cells and no member of S is shorter, so no
+    # stopping interval is either: the certificates of S~ resolve on the mesh
+    rng = np.random.default_rng(14)
+    for depth in [8, 10]:
+        mesh = unit_mesh(depth)
+        for i in range(12):
+            fam = SparseFamily(mesh, random_family(unit_mesh(depth - 3), rng, density=0.1).members)
+            b = StepFunction(mesh, np.repeat(SYMBOLS[i % 3](rng, mesh.n_cells >> 3), 8))
+            enlarged, ratio = lor_enlargement(fam, b)
+            assert ratio <= 8.0
+            ok, report = verify_sparse(construct_certificates(enlarged, carleson_constant(enlarged)))
+            assert ok, report
 
 
 def test_sparse_operator_a2_witness():
@@ -427,3 +482,131 @@ def test_lacey_sparse_support_function():
         lhs = np.abs(martingale_transform(f, sigma).values)
         rhs = c0 * sparse_operator(fam, StepFunction(mesh, np.abs(vals))).values
         assert np.all(lhs <= rhs + 1e-12)
+
+
+# -- the stopping-time engine against the loops it replaced -------------------------
+
+
+def reference_lacey_build(floc: StepFunction, sigma: SignSymbol, top, c0) -> SparseFamily:
+    """Lacey's stopping time with one zero-padded copy of the mesh per member,
+    on which the maximal function and the sharp truncation run in full."""
+    mesh = floc.mesh
+    members: list[tuple[int, int]] = []
+    owner = np.full(mesh.n_cells, -1)
+    stack = [top]
+    while stack:
+        level, pos = stack.pop()
+        sl = mesh.cell_slice(level, pos)
+        width = sl.stop - sl.start
+        avg_abs = float(np.mean(np.abs(floc.values[sl])))
+        if avg_abs == 0.0:
+            continue  # nothing left to dominate below this interval
+        local = np.zeros(mesh.n_cells)
+        local[sl] = floc.values[sl]
+        g = StepFunction(mesh, local)
+        threshold = 0.5 * c0 * avg_abs
+        m_vals = maximal_dyadic(g).values[sl]
+        t_vals = sharp_truncation(g, sigma).values[sl]
+        stopping = np.maximum(m_vals, t_vals) > threshold
+        if int(stopping.sum()) * 2 > width:
+            raise CalibrationError(
+                f"stopping set exceeds half of ({level},{pos}) at C0={c0}"
+            )
+        owner[sl][~stopping] = len(members)
+        members.append((level, pos))
+        stack.extend(_maximal_intervals(mesh, level, pos, stopping))
+    return SparseFamily(mesh, members, owner)
+
+
+def reference_lacey_dominate(f, sigma, top=(0, 0), C0=None):
+    """The C0 calibration of `lacey_dominate`, over `reference_lacey_build`."""
+    mesh = f.mesh
+    inside = np.zeros(mesh.n_cells, bool)
+    inside[mesh.cell_slice(*top)] = True
+    floc = StepFunction(mesh, np.where(inside, f.values, 0.0))
+    lhs = np.where(inside, np.abs(martingale_transform(floc, sigma).values), 0.0)
+    error = None
+    for c0 in [C0] if C0 is not None else [4.0 * 2.0 ** k for k in range(15)]:
+        try:
+            family = reference_lacey_build(floc, sigma, top, c0)
+        except CalibrationError as exc:
+            error = exc
+            continue
+        if np.all(lhs <= c0 * sparse_operator(family, abs(floc)).values + 1e-12):
+            return family, c0
+        error = CalibrationError(f"pointwise domination failed at C0={c0}")
+    raise error
+
+
+def lacey_outcome(dominate, f, sigma, **kwargs):
+    try:
+        family, c0 = dominate(f, sigma, **kwargs)
+    except CalibrationError as exc:
+        return str(exc)
+    return family.members, family.owner.tolist(), family.to_json(), c0
+
+
+@pytest.mark.parametrize("depth, seeds", [(4, 9), (6, 9), (8, 6), (10, 3), (12, 1)])
+def test_lacey_engine_matches_per_member_reference(depth, seeds):
+    mesh = unit_mesh(depth)
+    for seed in range(seeds):
+        rng = np.random.default_rng([depth, seed])
+        values = rng.standard_normal(mesh.n_cells)
+        if seed % 3 == 1:  # zero on 90 % of the cells: subtrees without mass are skipped
+            values[1:][rng.random(mesh.n_cells - 1) < 0.9] = 0.0
+        if seed % 3 == 2:  # zero on the second and the last quarter
+            values.reshape(4, -1)[1::2] = 0.0
+        f, sigma = StepFunction(mesh, values), SignSymbol.random(mesh, rng)
+        top = (0, 0) if seed % 2 == 0 else (1, 0)
+        got = lacey_outcome(lacey_dominate, f, sigma, top=top)
+        assert not isinstance(got, str)
+        assert got == lacey_outcome(reference_lacey_dominate, f, sigma, top=top)
+        low = lacey_outcome(lacey_dominate, f, sigma, top=top, C0=0.125)
+        assert low.startswith("stopping set exceeds half of")  # the top itself
+        assert low == lacey_outcome(reference_lacey_dominate, f, sigma, top=top, C0=0.125)
+        got = lacey_outcome(lacey_dominate, f, sigma, top=top, C0=8.0)
+        assert got == lacey_outcome(reference_lacey_dominate, f, sigma, top=top, C0=8.0)
+
+
+def reference_lor_probe(family: SparseFamily, b: StepFunction) -> dict:
+    """The greedy oscillation probe: grow S by the descendant of largest mean
+    oscillation through the worst cell until each member meets the factor 8,
+    within 8 |S| + 128 additions per member."""
+    mesh = family.mesh
+    budget = 8 * len(family.members) + 128
+    osc = [s / (1 << (mesh.depth - l)) for l, s in enumerate(oscillations(b))]
+    enlarged = set(family.members)
+    report = {"per_member": {}, "all_met": True, "added": 0}
+    for q in family.members:
+        added = 0
+        while True:
+            ratio, worst_cell = reference_osc_ratio(mesh, b, osc, enlarged, q)
+            if ratio <= 8.0 + 1e-9 or added >= budget:
+                break
+            path = [(l, worst_cell >> (mesh.depth - l)) for l in range(q[0], mesh.depth + 1)]
+            fresh = [key for key in path if key not in enlarged and osc[key[0]][key[1]] > 0.0]
+            if not fresh:
+                break
+            enlarged.add(max(fresh, key=lambda key: osc[key[0]][key[1]]))
+            added += 1
+        report["added"] += added
+        report["per_member"][q] = {"ratio": ratio, "met": bool(ratio <= 8.0 + 1e-9)}
+        report["all_met"] = report["all_met"] and ratio <= 8.0 + 1e-9
+    return report
+
+
+def reference_osc_ratio(mesh, b, osc, family_set, q):
+    """max over the cells of q of |b - <b>_q| / sum_{R in the set, R in q}
+    Omega(b;R) 1_R, by a loop over the whole set, and the worst cell."""
+    level, pos = q
+    sl = mesh.cell_slice(level, pos)
+    lhs = np.abs(b.values[sl] - b.values[sl].mean())
+    rhs = np.zeros(sl.stop - sl.start)
+    for (l, p) in family_set:
+        if l < level or (p >> (l - level)) != pos:
+            continue
+        rsl = mesh.cell_slice(l, p)
+        rhs[rsl.start - sl.start : rsl.stop - sl.start] += osc[l][p]
+    ratios = np.where(lhs <= 1e-15, 0.0, lhs / np.where(rhs > 0, rhs, np.inf))
+    worst = int(np.argmax(ratios))
+    return float(ratios[worst]), sl.start + worst
