@@ -352,7 +352,7 @@ def average_shifts(f: StepFunction, n_samples: int, seed: int, margins) -> dict:
     out = {}
     for cap, group in groups.items():
         jc_lo, jc_hi = j_root - cap, j_cell + cap
-        windows = [(j_root - m, j_cell + m) for m in group]
+        transform = _WindowTransforms(fz, [(j_root - m, j_cell + m) for m in group])
         acc = np.zeros((len(group), mesh.n_cells))
         for idx in range(n_samples):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
@@ -363,7 +363,7 @@ def average_shifts(f: StepFunction, n_samples: int, seed: int, margins) -> dict:
             for j in range(jc_hi, jc_lo - 1, -1):
                 shifts[j] = shift
                 shift += float(bits[j - jc_lo]) * 2.0 ** -j
-            acc += _window_transforms(fz, r, shifts, windows)
+            acc += transform(r, shifts)
         for margin, values in zip(group, acc):
             out[margin] = StepFunction(mesh, (HILBERT_RECONSTRUCTION_FACTOR / n_samples) * values)
     return out
@@ -386,54 +386,87 @@ def shifted_grid_transform(f: StepFunction, r: float, shifts, j_lo: int, j_hi: i
     Petermichl shift exactly: the deepest coefficient level cell-averages to
     zero, matching the window truncation.
     """
-    return StepFunction(f.mesh, _window_transforms(f, r, shifts, [(j_lo, j_hi)])[0])
+    return StepFunction(f.mesh, _WindowTransforms(f, [(j_lo, j_hi)])(r, shifts)[0])
 
 
-def _window_transforms(f: StepFunction, r: float, shifts, windows) -> np.ndarray:
-    """`shifted_grid_transform` cell values for each generation window
-    (j_lo, j_hi) in `windows`, one row each.  The generations of all windows
-    are evaluated once, in (generation x edge) blocks of at most
-    TRANSFORM_BLOCK_ELEMENTS elements, and each generation's row is added to
-    every window holding it.  A window thus sums its rows in generation
-    order, so its result is bit for bit that of a call with it alone."""
-    mesh = f.mesh
-    edges = mesh.cell_edges()
-    pref = f.prefix_integrals()
-    vals = f.values
-    jumps = np.diff(vals, prepend=0.0, append=0.0)
-    g_lo = min(lo for lo, _ in windows)
-    gens = np.arange(g_lo, max(hi for _, hi in windows) + 1)
-    ells = r * 2.0 ** -gens.astype(float)
-    offs = r * np.array([shifts[int(j)] for j in gens], dtype=float)
-    p_edges = np.zeros((len(windows), edges.size))
-    step = max(1, TRANSFORM_BLOCK_ELEMENTS // edges.size)
-    for start in range(0, gens.size, step):
-        ell = ells[start : start + step, None]
-        off = offs[start : start + step, None]
-        t = (edges - off) / ell
-        ke = np.floor(t)
-        t -= ke
-        phi = np.maximum(np.minimum(t, 0.5 - t), t - 1.0)
-        # lengths decrease down the rows: the first `wide` generations are coarser than a cell
-        wide = int(np.count_nonzero(ell > mesh.cell_length))
-        d = np.empty_like(t)
-        if wide:
-            d[:wide] = _interval_differences(
-                edges, pref, vals, off[:wide, 0], ell[:wide, 0], ke[:wide]
-            )
-        d[wide:] = jumps * ell[wide:] * np.minimum(t[wide:], 1.0 - t[wide:])
-        d *= phi
-        for j, row in zip(gens[start : start + step], d):
-            for w, (lo, hi) in enumerate(windows):
-                if lo <= j <= hi:
-                    p_edges[w] += row
-    return np.diff(p_edges, axis=1) / mesh.cell_length
+class _WindowTransforms:
+    """`shifted_grid_transform` cell values of one signal for each generation
+    window (j_lo, j_hi) in `windows`, one row each, on the sampled grid
+    (r, shifts) of each call.  The generations of all windows are evaluated
+    once, in (generation x edge) blocks of at most TRANSFORM_BLOCK_ELEMENTS
+    elements, and each generation's row is added to every window holding it.
+    A window thus sums its rows in generation order, so its result is bit for
+    bit that of a call with it alone.
+
+    The signal's edges, primitive and jumps are computed once, and every block
+    of every call writes into the same block-sized work arrays, so that the
+    heap does not shrink and regrow, refaulting their pages, once per sample.
+    A call returns one of these arrays, overwritten by the next call.
+    """
+
+    def __init__(self, f: StepFunction, windows):
+        mesh = f.mesh
+        self.windows = windows
+        self.cell_length = mesh.cell_length
+        self.edges = mesh.cell_edges()
+        self.pref = f.prefix_integrals()
+        self.vals = f.values
+        self.jumps = np.diff(f.values, prepend=0.0, append=0.0)
+        self.gens = np.arange(min(lo for lo, _ in windows), max(hi for _, hi in windows) + 1)
+        self.scales = 2.0 ** -self.gens.astype(float)
+        self.step = max(1, TRANSFORM_BLOCK_ELEMENTS // self.edges.size)
+        shape = (min(self.step, self.gens.size), self.edges.size)
+        self.t, self.ke, self.phi, self.d, self.scratch = (np.empty(shape) for _ in range(5))
+        self.index = np.empty(shape, dtype=np.int64)
+        self.p_edges = np.empty((len(windows), self.edges.size))
+        self.out = np.empty((len(windows), mesh.n_cells))
+
+    def __call__(self, r: float, shifts) -> np.ndarray:
+        edges, p_edges = self.edges, self.p_edges
+        ells = r * self.scales
+        offs = r * np.array([shifts[int(j)] for j in self.gens], dtype=float)
+        p_edges.fill(0.0)
+        for start in range(0, self.gens.size, self.step):
+            ell = ells[start : start + self.step, None]
+            off = offs[start : start + self.step, None]
+            rows = ell.shape[0]
+            t, ke, phi, d, s = (a[:rows] for a in (self.t, self.ke, self.phi, self.d, self.scratch))
+            np.subtract(edges, off, out=t)
+            np.divide(t, ell, out=t)
+            np.floor(t, out=ke)
+            t -= ke
+            # phi = max(min(t, 0.5 - t), t - 1)
+            np.subtract(0.5, t, out=s)
+            np.minimum(t, s, out=phi)
+            np.subtract(t, 1.0, out=s)
+            np.maximum(phi, s, out=phi)
+            # lengths decrease down the rows: the first `wide` generations are coarser than a cell
+            wide = int(np.count_nonzero(ell > self.cell_length))
+            if wide:
+                _interval_differences(
+                    edges, self.pref, self.vals, off[:wide, 0], ell[:wide, 0], ke[:wide],
+                    d[:wide], self.index[:wide],
+                )
+            # below the cell scale d = jumps * ell * min(t, 1 - t)
+            np.subtract(1.0, t[wide:], out=s[wide:])
+            np.minimum(t[wide:], s[wide:], out=s[wide:])
+            np.multiply(self.jumps, ell[wide:], out=d[wide:])
+            d[wide:] *= s[wide:]
+            d *= phi
+            for j, row in zip(self.gens[start : start + self.step], d):
+                for w, (lo, hi) in enumerate(self.windows):
+                    if lo <= j <= hi:
+                        p_edges[w] += row
+        np.subtract(p_edges[:, 1:], p_edges[:, :-1], out=self.out)
+        self.out /= self.cell_length
+        return self.out
 
 
-def _interval_differences(edges, pref, vals, off, ell, ke):
+def _interval_differences(edges, pref, vals, off, ell, ke, out, index):
     """d_I (right-half minus left-half integral of f) at the interval indices
-    `ke`, one row per generation and nondecreasing along the row; each
-    distinct interval costs three lookups of the primitive of f."""
+    `ke`, one row per generation and nondecreasing along the row, written to
+    `out`; `index` is an int64 work array of ke's shape.  Each distinct
+    interval costs three lookups of the primitive of f."""
     lo = ke[:, 0]
     counts = (ke[:, -1] - lo).astype(np.int64) + 1
     first = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -444,7 +477,10 @@ def _interval_differences(edges, pref, vals, off, ell, ke):
     points = np.concatenate([lefts + ell[row], lefts + 0.5 * ell[row], lefts])
     p = _prefix_at(edges, pref, vals, points)
     d = p[:m] - 2.0 * p[m : 2 * m] + p[2 * m :]
-    return d[first[:, None] + (ke - lo[:, None]).astype(np.int64)]
+    np.subtract(ke, lo[:, None], out=index, casting="unsafe")
+    index += first[:, None]
+    # every index lies in [0, m); mode="raise" would gather through a temporary copy of `out`
+    np.take(d, index, out=out, mode="clip")
 
 
 # -- sparse commutator operators ----------------------------------------------

@@ -45,7 +45,17 @@ class SparseFamily:
             if (level, pos) in seen:
                 raise ValueError(f"duplicate member ({level},{pos})")
             seen.add((level, pos))
-        if self.owner is not None and self.eta is None:
+        if self.owner is None:
+            return
+        self.owner = np.asarray(self.owner)
+        if self.owner.shape != (self.mesh.n_cells,) or not np.issubdtype(self.owner.dtype, np.integer):
+            raise ValueError(
+                f"owner must be an integer array of shape ({self.mesh.n_cells},), "
+                f"got {self.owner.dtype} of shape {self.owner.shape}"
+            )
+        if not -1 <= self.owner.min() <= self.owner.max() < len(self.members):
+            raise ValueError(f"owner entries must lie in [-1, {len(self.members)}): one per member or -1 for free")
+        if self.eta is None:
             self.eta = self.measured_eta()
 
     @property
@@ -64,6 +74,8 @@ class SparseFamily:
     def measured_eta(self) -> float:
         if self.owner is None:
             raise ValueError("no certificates present")
+        if not self.members:
+            raise ValueError("the family is empty: its sparseness eta is a minimum over no members")
         mass, width = self._cell_counts()
         return float(np.min(mass / width))
 

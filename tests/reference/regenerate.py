@@ -3,7 +3,8 @@
 Each `<stem>.json` is the full report that `dyadlab.experiments.run` returns
 for the config below, the same report the CLI writes for those flags.
 `tests/test_reference.py` reruns the config stored in each file and compares
-its rows and family exactly.  Run from the repository root:
+its rows and family: exactly, but for the `average-hilbert` correlations,
+which go through BLAS and are compared to 1e-12 relative.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/reference/regenerate.py
 
@@ -20,6 +21,8 @@ from dyadlab.experiments import ExperimentConfig, run, strict_json
 HERE = Path(__file__).resolve().parent
 
 REFERENCES = {
+    # dyadlab average-hilbert --depth 10 --samples 200 --seed 1 --margins 3,6
+    "average_hilbert_d10_s1": dict(experiment="average-hilbert", depth=10, samples=200, seed=1, margins=(3, 6)),
     # the README example: dyadlab sparse-dominate --depth 10 --samples 20 --seed 7
     "sparse_dominate_d10_s7": dict(experiment="sparse-dominate", depth=10, samples=20, seed=7),
     # one deep run: dyadlab sparse-dominate --depth 14 --samples 1 --seed 0

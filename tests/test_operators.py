@@ -4,6 +4,10 @@ commutators, the exact Hilbert transform, and norm estimation."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,40 +534,95 @@ def test_average_shift_tracks_hilbert():
     assert corr >= 0.9
 
 
+def reference_window_transforms(f, r, shifts, windows):
+    """The transform of the sampled grid (r, shifts) for each window, with
+    fresh (generation x edge) arrays per block: the allocate-per-block
+    evaluation that the buffered `_WindowTransforms` replaced, which must
+    match it bit for bit."""
+    from dyadlab.operators import TRANSFORM_BLOCK_ELEMENTS
+    from dyadlab.signal import _prefix_at
+
+    def interval_differences(edges, pref, vals, off, ell, ke):
+        lo = ke[:, 0]
+        counts = (ke[:, -1] - lo).astype(np.int64) + 1
+        first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        row = np.repeat(np.arange(counts.size), counts)
+        ks = np.arange(first[-1] + counts[-1]) - first[row] + lo[row]
+        lefts = off[row] + ks * ell[row]
+        m = lefts.size
+        points = np.concatenate([lefts + ell[row], lefts + 0.5 * ell[row], lefts])
+        p = _prefix_at(edges, pref, vals, points)
+        d = p[:m] - 2.0 * p[m : 2 * m] + p[2 * m :]
+        return d[first[:, None] + (ke - lo[:, None]).astype(np.int64)]
+
+    mesh = f.mesh
+    edges = mesh.cell_edges()
+    pref = f.prefix_integrals()
+    vals = f.values
+    jumps = np.diff(vals, prepend=0.0, append=0.0)
+    g_lo = min(lo for lo, _ in windows)
+    gens = np.arange(g_lo, max(hi for _, hi in windows) + 1)
+    ells = r * 2.0 ** -gens.astype(float)
+    offs = r * np.array([shifts[int(j)] for j in gens], dtype=float)
+    p_edges = np.zeros((len(windows), edges.size))
+    step = max(1, TRANSFORM_BLOCK_ELEMENTS // edges.size)
+    for start in range(0, gens.size, step):
+        ell = ells[start : start + step, None]
+        off = offs[start : start + step, None]
+        t = (edges - off) / ell
+        ke = np.floor(t)
+        t -= ke
+        phi = np.maximum(np.minimum(t, 0.5 - t), t - 1.0)
+        wide = int(np.count_nonzero(ell > mesh.cell_length))
+        d = np.empty_like(t)
+        if wide:
+            d[:wide] = interval_differences(edges, pref, vals, off[:wide, 0], ell[:wide, 0], ke[:wide])
+        d[wide:] = jumps * ell[wide:] * np.minimum(t[wide:], 1.0 - t[wide:])
+        d *= phi
+        for j, row in zip(gens[start : start + step], d):
+            for w, (lo, hi) in enumerate(windows):
+                if lo <= j <= hi:
+                    p_edges[w] += row
+    return np.diff(p_edges, axis=1) / mesh.cell_length
+
+
+def sampled_grid(seed, idx, jc_lo, jc_hi):
+    """The grid (r, shifts) that `average_shifts` draws for sample `idx`."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+    bits = rng.integers(0, 2, size=jc_hi - jc_lo + 1)
+    r = float(2.0 ** rng.random())
+    shifts, shift = {}, 0.0
+    for j in range(jc_hi, jc_lo - 1, -1):
+        shifts[j] = shift
+        shift += float(bits[j - jc_lo]) * 2.0 ** -j
+    return r, shifts
+
+
 def average_shift_per_margin_oracle(f, n_samples, seed, margin):
-    """One grid draw and one `shifted_grid_transform` per sample, for a
-    single margin: the averaging as it stood before margins shared a pass."""
-    from dyadlab.operators import (
-        CANONICAL_MARGIN_CAP,
-        HILBERT_RECONSTRUCTION_FACTOR,
-        shifted_grid_transform,
-    )
+    """One grid draw and one reference transform per sample, for a single
+    margin: the averaging as it stood before margins shared a pass and
+    samples shared work arrays."""
+    from dyadlab.operators import CANONICAL_MARGIN_CAP, HILBERT_RECONSTRUCTION_FACTOR
 
     mesh = f.mesh
     fz = mean_zero_part(f)
     j_root = mesh.root.j
     cap = max(margin, CANONICAL_MARGIN_CAP)
-    jc_lo, jc_hi = j_root - cap, j_root + mesh.depth + cap
+    window = (j_root - margin, j_root + mesh.depth + margin)
     acc = np.zeros(mesh.n_cells)
     for idx in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        bits = rng.integers(0, 2, size=jc_hi - jc_lo + 1)
-        r = float(2.0 ** rng.random())
-        shifts, shift = {}, 0.0
-        for j in range(jc_hi, jc_lo - 1, -1):
-            shifts[j] = shift
-            shift += float(bits[j - jc_lo]) * 2.0 ** -j
-        acc += shifted_grid_transform(
-            fz, r, shifts, j_root - margin, j_root + mesh.depth + margin
-        ).values
+        r, shifts = sampled_grid(seed, idx, j_root - cap, j_root + mesh.depth + cap)
+        acc += reference_window_transforms(fz, r, shifts, [window])[0]
     return (HILBERT_RECONSTRUCTION_FACTOR / n_samples) * acc
 
 
-@pytest.mark.parametrize("block_rows", [None, 5])
+@pytest.mark.parametrize("block_rows", [None, 5, 7])
 def test_average_shifts_one_pass_equals_per_margin(monkeypatch, block_rows):
-    # margins 3, 6 and 8 share the canonical window, 11 has its own; with
-    # 5-generation blocks every window spans several blocks, none aligned
-    # with another window's
+    # margins 3, 6 and 8 share the canonical window (25 generations, the
+    # first 16 coarser than a cell), 11 has its own (31, 19 of them coarse);
+    # with 5- or 7-generation blocks every window spans several blocks, none
+    # aligned with another window's, the coarse/fine split falls inside a
+    # later block, and with 7 both windows end on a partial block
     import dyadlab.operators as operators
 
     mesh = unit_mesh(8)
@@ -577,6 +636,61 @@ def test_average_shifts_one_pass_equals_per_margin(monkeypatch, block_rows):
         np.testing.assert_array_equal(
             got.values, average_shift_per_margin_oracle(f, 6, 17, margin)
         )
+
+
+def test_average_shifts_match_reference_at_bench_depth():
+    # the benchmark's hilbert-avg shape: a depth-12 signal with a nonzero
+    # mean, margins 3 and 6 plus the reference margin 8, one cap group
+    from dyadlab.operators import shifted_grid_transform
+
+    mesh = Mesh(standard_grid(-2, 16).interval(0, 0), 12)
+    rng = np.random.default_rng(12)
+    f = StepFunction(mesh, 1.0 + rng.standard_normal(mesh.n_cells))
+    together = average_shifts(f, 3, 5, [3, 6, 8])
+    for margin, got in together.items():
+        np.testing.assert_array_equal(got.values, average_shift_per_margin_oracle(f, 3, 5, margin))
+    j_root, j_cell = mesh.root.j, mesh.root.j + mesh.depth
+    r, shifts = sampled_grid(5, 0, j_root - 8, j_cell + 8)
+    np.testing.assert_array_equal(
+        shifted_grid_transform(f, r, shifts, j_root - 6, j_cell + 6).values,
+        reference_window_transforms(f, r, shifts, [(j_root - 6, j_cell + 6)])[0],
+    )
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from dyadlab.grid import standard_grid
+from dyadlab.operators import average_shifts
+from dyadlab.signal import Mesh, StepFunction
+
+mesh = Mesh(standard_grid(-2, 16).interval(0, 0), 12)
+f = StepFunction(mesh, np.random.default_rng(3).standard_normal(mesh.n_cells))
+average_shifts(f, 2, 0, [3, 6, 8])
+faults = {}
+for n in (20, 60):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    average_shifts(f, n, 1, [3, 6, 8])
+    faults[n] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults[60] - faults[20])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read as Linux reports them")
+def test_average_shifts_faults_do_not_grow_with_samples():
+    # a fresh interpreter, as the CLI runs: a long test session leaves the
+    # allocator's trim threshold raised by earlier large arrays, which hides
+    # per-sample heap shrinking and regrowth (about 1500 faults a sample
+    # when every block allocated its own arrays)
+    import dyadlab
+
+    src = str(Path(dyadlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    extra = int(done.stdout.split()[-1])
+    assert extra < 50 * 40, f"{extra} more minor faults for 40 more samples"
 
 
 # -- sparse commutator pieces -------------------------------------------------------

@@ -169,6 +169,37 @@ def test_verify_disjoint_family_full_certificates():
     assert ok
 
 
+def test_empty_family_with_certificates_names_the_empty_family():
+    # eta is a minimum over the members; numpy once failed here with
+    # "zero-size array to reduction operation minimum"
+    mesh = unit_mesh(4)
+    with pytest.raises(ValueError, match="family is empty"):
+        SparseFamily(mesh, [], np.full(mesh.n_cells, -1))
+    with pytest.raises(ValueError, match="family is empty"):
+        SparseFamily(mesh, [], np.full(mesh.n_cells, -1), eta=0.5).measured_eta()
+
+
+@pytest.mark.parametrize(
+    "owner, message",
+    [
+        (np.zeros(15, int), "shape"),
+        (np.zeros((4, 4), int), "shape"),
+        (np.zeros(16), "integer array"),
+        (np.r_[np.full(15, -1), -2], r"\[-1, 2\)"),
+        (np.r_[np.full(15, -1), 2], r"\[-1, 2\)"),
+        (np.zeros(16, int), None),
+    ],
+    ids=["short", "two-dimensional", "float", "below -1", "past the members", "valid"],
+)
+def test_owner_shape_and_range_are_checked(owner, message):
+    mesh = unit_mesh(4)
+    if message is None:
+        assert SparseFamily(mesh, [(0, 0), (1, 0)], owner).owner is owner
+        return
+    with pytest.raises(ValueError, match=message):
+        SparseFamily(mesh, [(0, 0), (1, 0)], owner)
+
+
 def test_duality_certified_eta_bounds_packing():
     # easy direction of the equivalence: eta-certified => constant <= 1/eta
     rng = np.random.default_rng(13)
