@@ -417,7 +417,10 @@ class _WindowTransforms:
         self.step = max(1, TRANSFORM_BLOCK_ELEMENTS // self.edges.size)
         shape = (min(self.step, self.gens.size), self.edges.size)
         self.t, self.ke, self.phi, self.d, self.scratch = (np.empty(shape) for _ in range(5))
-        self.index = np.empty(shape, dtype=np.int64)
+        # the gather index shares the scratch's memory: a block writes it on
+        # the rows [:wide] after its last read of the scratch there, and uses
+        # the scratch afterwards on the rows [wide:] only
+        self.index = self.scratch.view(np.int64)
         self.p_edges = np.empty((len(windows), self.edges.size))
         self.out = np.empty((len(windows), mesh.n_cells))
 
@@ -473,10 +476,10 @@ def _interval_differences(edges, pref, vals, off, ell, ke, out, index):
     row = np.repeat(np.arange(counts.size), counts)
     ks = np.arange(first[-1] + counts[-1]) - first[row] + lo[row]
     lefts = off[row] + ks * ell[row]
-    m = lefts.size
-    points = np.concatenate([lefts + ell[row], lefts + 0.5 * ell[row], lefts])
-    p = _prefix_at(edges, pref, vals, points)
-    d = p[:m] - 2.0 * p[m : 2 * m] + p[2 * m :]
+    # one lookup at a time keeps the temporaries of `_prefix_at` m points long
+    right = _prefix_at(edges, pref, vals, lefts + ell[row])
+    middle = _prefix_at(edges, pref, vals, lefts + 0.5 * ell[row])
+    d = right - 2.0 * middle + _prefix_at(edges, pref, vals, lefts)
     np.subtract(ke, lo[:, None], out=index, casting="unsafe")
     index += first[:, None]
     # every index lies in [0, m); mode="raise" would gather through a temporary copy of `out`

@@ -247,24 +247,54 @@ def lp_norm(f: StepFunction, p: float, w: StepFunction | None = None) -> float:
     return float(np.sum(np.abs(f.values) ** p * dens) ** (1.0 / p))
 
 
+def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, bit for bit what np.sum returns on each pair: numpy's sum
+    starts from +0.0, which only turns the sum of two -0.0 into +0.0."""
+    s = a + b
+    s += 0.0
+    return s
+
+
+def _pair_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2, bit for bit what np.mean returns on each pair."""
+    m = _pair_sum(a, b)
+    m /= 2
+    return m
+
+
+# the pairwise form of each reduction `pyramid` accepts
+_PAIRWISE = {
+    np.mean: _pair_mean,
+    np.sum: _pair_sum,
+    np.min: np.minimum,
+    np.max: np.maximum,
+}
+
+
 def pyramid(values: np.ndarray, reduce) -> list[np.ndarray]:
     """`reduce` (np.mean, np.min, np.max or np.sum) over every tree interval,
     levels 0..J, taken pairwise up from the cells; level J is a copy of the
-    cell values."""
+    cell values.  Each level pairs the even and odd entries of the one below
+    as strided slices."""
+    pair = _PAIRWISE[reduce]
     out = [np.array(values, dtype=float)]
     while out[-1].size > 1:
-        out.append(reduce(out[-1].reshape(-1, 2), axis=1))
+        out.append(pair(out[-1][0::2], out[-1][1::2]))
     out.reverse()
     return out
 
 
 def broadcast(levels, combine) -> np.ndarray:
     """The dual of `pyramid`: push per-level arrays from the coarsest down to
-    the last (finest) one given, cur = combine(repeat(cur, 2), level), with
-    combine np.add or np.maximum."""
+    the last (finest) one given, each child taking combine(parent, own entry),
+    with combine np.add or np.maximum; the even and odd children are written
+    as strided slices."""
     cur = levels[0]
     for level in levels[1:]:
-        cur = combine(np.repeat(cur, 2), level)
+        nxt = np.empty(level.shape, dtype=np.result_type(cur, level))
+        combine(cur, level[0::2], out=nxt[0::2])
+        combine(cur, level[1::2], out=nxt[1::2])
+        cur = nxt
     return cur
 
 
@@ -293,11 +323,21 @@ def analyze(f: StepFunction) -> HaarSpectrum:
     levels: list[np.ndarray | None] = [None] * mesh.depth
     cur = f.values
     for level in range(mesh.depth - 1, -1, -1):
-        pairs = cur.reshape(-1, 2)
+        left, right = cur[0::2], cur[1::2]
         scale = 0.5 * math.sqrt(mesh.level_length(level))
-        levels[level] = (pairs[:, 1] - pairs[:, 0]) * scale
-        cur = pairs.mean(axis=1)
+        levels[level] = right - left
+        levels[level] *= scale
+        cur = _pair_mean(left, right)
     return HaarSpectrum(mesh, float(cur[0]), levels)
+
+
+def haar_refine(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """One level of Haar synthesis: the left children of `cur` take
+    cur - step and the right children cur + step."""
+    out = np.empty(2 * cur.size)
+    np.subtract(cur, step, out=out[0::2])
+    np.add(cur, step, out=out[1::2])
+    return out
 
 
 def partial_sums(s: HaarSpectrum):
@@ -306,9 +346,7 @@ def partial_sums(s: HaarSpectrum):
     cur = np.array([s.mean])
     for level, coeffs in enumerate(s.levels):
         amp = 1.0 / math.sqrt(s.mesh.level_length(level))
-        cur = np.repeat(cur, 2)
-        cur[0::2] -= coeffs * amp
-        cur[1::2] += coeffs * amp
+        cur = haar_refine(cur, coeffs * amp)
         yield cur
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CalibrationError, InfeasibleError, ResolutionError
 from .operators import SignSymbol, martingale_transform, positive_dyadic_operator
-from .signal import Mesh, StepFunction, analyze, broadcast, pyramid
+from .signal import Mesh, StepFunction, analyze, broadcast, haar_refine, pyramid
 from .weights import CarlesonSequence, carleson_intensity
 
 
@@ -270,9 +270,7 @@ def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float):
         below = _subtree(abs_means, level, pos)
         tops, sums = below[:1], np.array([total])
         for m, step in zip(below[1:], _subtree(steps, level, pos)):
-            sums = np.repeat(sums, 2)
-            sums[0::2] -= step
-            sums[1::2] += step
+            sums = haar_refine(sums, step)
             tops.append(np.maximum(m, np.abs(sums)))
         stopping = broadcast(tops, np.maximum) > 0.5 * c0 * avg_abs
         if int(stopping.sum()) * 2 > sl.stop - sl.start:
@@ -323,7 +321,9 @@ def _maximal_intervals(mesh: Mesh, level: int, pos: int, stopping: np.ndarray):
     for k, m in enumerate(mins):
         top = m == 1
         if k:
-            top &= np.repeat(mins[k - 1] == 0, 2)
+            parent_open = mins[k - 1] == 0
+            top[0::2] &= parent_open
+            top[1::2] &= parent_open
         out += [(level + k, (pos << k) + int(p)) for p in np.flatnonzero(top)]
     return sorted(out, key=lambda m: m[1] << (mesh.depth - m[0]))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateWeightError
 from .grid import third_grid
-from .signal import Mesh, StepFunction, _prefix_at, broadcast, means_pyramid, pyramid
+from .signal import Mesh, StepFunction, _pair_sum, _prefix_at, means_pyramid, pyramid
 from . import operators
 
 
@@ -146,15 +146,19 @@ def a_infty_fujii_wilson(w: Weight) -> float:
 
     For x in I the dyadic maximal function of w 1_I is the maximum of <w>_J
     over dyadic J with x in J subset I (larger J only dilute the average), so
-    each level is handled with a running maximum down its subtrees.
+    each level is handled with a running maximum down its subtrees.  One
+    cell array carries it from the cells up: level l raises each block of
+    cells to the mean of its level-l interval.
     """
     mesh = w.mesh
     pyr = means_pyramid(w)
     cl = mesh.cell_length
     best = 1.0
-    for level in range(mesh.depth + 1):
-        running = broadcast(pyr[level:], np.maximum)
-        integrals = running.reshape(1 << level, -1).sum(axis=1) * cl
+    running = pyr[mesh.depth]  # the pyramid's own copy of the cells
+    for level in range(mesh.depth, -1, -1):
+        blocks = running.reshape(1 << level, -1)
+        np.maximum(blocks, pyr[level][:, None], out=blocks)
+        integrals = blocks.sum(axis=1) * cl
         masses = pyr[level] * mesh.level_length(level)
         best = max(best, float(np.max(integrals / masses)))
     return best
@@ -234,7 +238,8 @@ class CarlesonSequence:
         sums = [None] * (self.mesh.depth + 1)
         sums[self.mesh.depth] = self.levels[self.mesh.depth].copy()
         for level in range(self.mesh.depth - 1, -1, -1):
-            sums[level] = self.levels[level] + sums[level + 1].reshape(-1, 2).sum(axis=1)
+            below = sums[level + 1]
+            sums[level] = self.levels[level] + _pair_sum(below[0::2], below[1::2])
         return sums
 
 

@@ -3,8 +3,9 @@
 Each `<stem>.json` is the full report that `dyadlab.experiments.run` returns
 for the config below, the same report the CLI writes for those flags.
 `tests/test_reference.py` reruns the config stored in each file and compares
-its rows and family: exactly, but for the `average-hilbert` correlations,
-which go through BLAS and are compared to 1e-12 relative.  Run from the repository root:
+its rows and family: exactly, but for the `average-hilbert` correlations and
+the `norms` power-iteration estimates, which go through BLAS and are compared
+to the relative tolerances in its `FLOAT_RTOL`.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/reference/regenerate.py
 
@@ -27,6 +28,10 @@ REFERENCES = {
     "sparse_dominate_d10_s7": dict(experiment="sparse-dominate", depth=10, samples=20, seed=7),
     # one deep run: dyadlab sparse-dominate --depth 14 --samples 1 --seed 0
     "sparse_dominate_d14_s0": dict(experiment="sparse-dominate", depth=14, samples=1, seed=0),
+    # the README examples: dyadlab norms --depth 12 --operator sha --alphas 0.3,0.9,1.5,2.0 --seed 0
+    "norms_sha_d12_s0": dict(experiment="norms", depth=12, operator="sha", alphas=(0.3, 0.9, 1.5, 2.0), seed=0),
+    # and dyadlab norms --depth 10 --operator commutator_sha --seed 0
+    "norms_commutator_sha_d10_s0": dict(experiment="norms", depth=10, operator="commutator_sha", seed=0),
 }
 
 

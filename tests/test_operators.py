@@ -676,21 +676,51 @@ print(faults[60] - faults[20])
 """
 
 
+def run_probe(probe: str) -> int:
+    """The last number a probe script prints, run in a fresh interpreter."""
+    import dyadlab
+
+    src = str(Path(dyadlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return int(done.stdout.split()[-1])
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are read as Linux reports them")
 def test_average_shifts_faults_do_not_grow_with_samples():
     # a fresh interpreter, as the CLI runs: a long test session leaves the
     # allocator's trim threshold raised by earlier large arrays, which hides
     # per-sample heap shrinking and regrowth (about 1500 faults a sample
     # when every block allocated its own arrays)
-    import dyadlab
-
-    src = str(Path(dyadlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
-    extra = int(done.stdout.split()[-1])
+    extra = run_probe(FAULT_PROBE)
     assert extra < 50 * 40, f"{extra} more minor faults for 40 more samples"
+
+
+PEAK_PROBE = """
+import numpy as np
+from dyadlab.grid import standard_grid
+from dyadlab.operators import average_shifts
+from dyadlab.signal import Mesh, StepFunction
+
+mesh = Mesh(standard_grid(-2, 24).interval(0, 0), 20)
+f = StepFunction(mesh, np.random.default_rng(3).standard_normal(mesh.n_cells))
+average_shifts(f, 1, 1, [3, 6])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the peak is Linux's VmHWM")
+def test_deep_averaging_peak_stays_below_the_per_block_allocation():
+    # a depth-20 mesh has one generation per block: when every block
+    # allocated its own work arrays the process peaked at 289 MB; holding
+    # them across samples must not cost more than that.  The probe reads the
+    # high-water mark of its own memory map: ru_maxrss would start from the
+    # resident size of the test process that spawned it
+    peak_mb = run_probe(PEAK_PROBE) / 1024
+    assert peak_mb < 289, f"depth-20 averaging peaked at {peak_mb:.1f} MB"
 
 
 # -- sparse commutator pieces -------------------------------------------------------

@@ -21,6 +21,7 @@ from dyadlab.operators import (
     petermichl_shift,
 )
 from dyadlab.signal import (
+    HaarSpectrum,
     StepFunction,
     analyze,
     broadcast,
@@ -28,6 +29,7 @@ from dyadlab.signal import (
     means_pyramid,
     partial_sums,
     pyramid,
+    synthesize,
 )
 from dyadlab.sparse import SparseFamily, sparse_operator
 from dyadlab.weights import Weight
@@ -77,6 +79,106 @@ def test_partial_sums_telescope_to_the_means():
     assert len(sums) == mesh.depth
     for level, partial in enumerate(sums):
         np.testing.assert_allclose(partial, means[level + 1], rtol=1e-12, atol=1e-12)
+
+
+# -- the strided kernels against the reshape/repeat forms they replaced ---------
+#
+# These are the kernels as they were written before the even/odd slices: each
+# reduction over a length-2 axis of `reshape(-1, 2)`, each expansion through
+# `np.repeat`.  The strided kernels must reproduce them bit for bit, the sign
+# of zero included.
+
+
+def reference_pyramid(values, reduce):
+    out = [np.array(values, dtype=float)]
+    while out[-1].size > 1:
+        out.append(reduce(out[-1].reshape(-1, 2), axis=1))
+    out.reverse()
+    return out
+
+
+def reference_broadcast(levels, combine):
+    cur = levels[0]
+    for level in levels[1:]:
+        cur = combine(np.repeat(cur, 2), level)
+    return cur
+
+
+def reference_analyze(f):
+    mesh = f.mesh
+    levels = [None] * mesh.depth
+    cur = f.values
+    for level in range(mesh.depth - 1, -1, -1):
+        pairs = cur.reshape(-1, 2)
+        scale = 0.5 * math.sqrt(mesh.level_length(level))
+        levels[level] = (pairs[:, 1] - pairs[:, 0]) * scale
+        cur = pairs.mean(axis=1)
+    return HaarSpectrum(mesh, float(cur[0]), levels)
+
+
+def reference_partial_sums(s):
+    cur = np.array([s.mean])
+    for level, coeffs in enumerate(s.levels):
+        amp = 1.0 / math.sqrt(s.mesh.level_length(level))
+        cur = np.repeat(cur, 2)
+        cur[0::2] -= coeffs * amp
+        cur[1::2] += coeffs * amp
+        yield cur
+
+
+def assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def wide_range_values(depth):
+    """N(0,1) exp(5 N(0,1)): magnitudes over many decades, and about 3 % signed
+    zeros, pairs of -0.0 among them, whose sums and means depend on how the
+    reduction starts."""
+    rng = np.random.default_rng(1000 + depth)
+    n = 1 << depth
+    values = rng.standard_normal(n) * np.exp(5.0 * rng.standard_normal(n))
+    zeros = rng.random(n) < 0.03
+    values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    values[: min(n, 4)] = -0.0
+    return values
+
+
+DEPTHS_1_16 = range(1, 17)
+
+
+@pytest.mark.parametrize("depth", DEPTHS_1_16)
+def test_pyramid_matches_the_reshape_reduction(depth):
+    values = wide_range_values(depth)
+    stopping = values > 0.5  # a boolean mask, as the stopping-time rules pass
+    for reduce in (np.mean, np.sum, np.min, np.max):
+        for data in (values, stopping):
+            got, want = pyramid(data, reduce), reference_pyramid(data, reduce)
+            assert len(got) == len(want) == depth + 1
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("depth", DEPTHS_1_16)
+def test_broadcast_matches_the_repeat_expansion(depth):
+    levels = reference_pyramid(wide_range_values(depth), np.mean)
+    for combine in (np.add, np.maximum):
+        for finest in {0, 1, depth // 2, depth}:
+            got = broadcast(levels[: finest + 1], combine)
+            assert_bits_equal(got, reference_broadcast(levels[: finest + 1], combine))
+
+
+@pytest.mark.parametrize("depth", DEPTHS_1_16)
+def test_analyze_and_synthesize_match_the_reshape_transform(depth):
+    f = StepFunction(sweep_mesh(depth), wide_range_values(depth))
+    got, want = analyze(f), reference_analyze(f)
+    assert np.signbit(got.mean) == np.signbit(want.mean) and got.mean == want.mean
+    for a, b in zip(got.levels, want.levels, strict=True):
+        assert_bits_equal(a, b)
+    for a, b in zip(partial_sums(want), reference_partial_sums(want), strict=True):
+        assert_bits_equal(a, b)
+    assert_bits_equal(synthesize(want).values, b)
 
 
 HANDLES = ["martingale", "sha", "shift(1,2)", "paraproduct", "paraproduct_adj", "commutator_sha", "sparse"]

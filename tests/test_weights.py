@@ -158,6 +158,48 @@ def test_a_infty_unit_and_dominated_by_a2():
         assert a_infty_fujii_wilson(w) <= ap_characteristic(w, 2.0) * (1 + 1e-10)
 
 
+def reference_a_infty_fujii_wilson(w):
+    """The per-level form: for each level, the running maximum of the means is
+    pushed from that level down to the cells through `np.repeat`."""
+    mesh = w.mesh
+    pyr = means_pyramid(w)
+    best = 1.0
+    for level in range(mesh.depth + 1):
+        running = pyr[level]
+        for finer in pyr[level + 1 :]:
+            running = np.maximum(np.repeat(running, 2), finer)
+        integrals = running.reshape(1 << level, -1).sum(axis=1) * mesh.cell_length
+        masses = pyr[level] * mesh.level_length(level)
+        best = max(best, float(np.max(integrals / masses)))
+    return best
+
+
+@pytest.mark.parametrize("depth", [6, 10, 14])
+def test_a_infty_matches_the_per_level_maxima(depth):
+    mesh = sweep_mesh(depth)
+    rng = np.random.default_rng(depth)
+    ws = [power_weight(mesh, alpha) for alpha in (-0.9, 0.3, 1.0, 2.0, 5.0)]
+    ws += [w.reciprocal() for w in ws]
+    ws += [Weight(mesh, np.exp(s * rng.standard_normal(mesh.n_cells))) for s in (0.5, 2.0)]
+    for w in ws:
+        assert a_infty_fujii_wilson(w) == reference_a_infty_fujii_wilson(w)
+
+
+def test_subtree_sums_match_the_reshape_sums():
+    mesh = sweep_mesh(9)
+    rng = np.random.default_rng(9)
+    levels = [rng.exponential(size=1 << l) * (rng.random(1 << l) < 0.7) for l in range(mesh.depth + 1)]
+    for entries in levels:  # nonnegative, and the pair sums start from +0.0
+        entries[:8] = -0.0
+    want = [levels[-1].copy()]
+    for level in range(mesh.depth - 1, -1, -1):
+        want.insert(0, levels[level] + want[0].reshape(-1, 2).sum(axis=1))
+    got = CarlesonSequence(mesh, levels).subtree_sums()
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_rh_q_against_bruteforce():
     rng = np.random.default_rng(5)
     mesh = unit_mesh(6)
