@@ -353,17 +353,16 @@ def average_shifts(f: StepFunction, n_samples: int, seed: int, margins) -> dict:
     for cap, group in groups.items():
         jc_lo, jc_hi = j_root - cap, j_cell + cap
         transform = _WindowTransforms(fz, [(j_root - m, j_cell + m) for m in group])
+        # 2^-j for j = jc_hi down to jc_lo + 1; x_j is entry jc_hi - j of the running sums below
+        scales = 2.0 ** -np.arange(jc_hi, jc_lo, -1)
         acc = np.zeros((len(group), mesh.n_cells))
         for idx in range(n_samples):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
             bits = rng.integers(0, 2, size=jc_hi - jc_lo + 1)
             r = float(2.0 ** rng.random())
-            shift = 0.0
-            shifts = {}
-            for j in range(jc_hi, jc_lo - 1, -1):
-                shifts[j] = shift
-                shift += float(bits[j - jc_lo]) * 2.0 ** -j
-            acc += transform(r, shifts)
+            # x_j = sum_{i>j} beta_i 2^-i, summed from the finest generation up
+            shifts = np.cumsum(np.r_[0.0, bits[:0:-1] * scales])
+            acc += transform(r, shifts[jc_hi - transform.gens])
         for margin, values in zip(group, acc):
             out[margin] = StepFunction(mesh, (HILBERT_RECONSTRUCTION_FACTOR / n_samples) * values)
     return out
@@ -386,17 +385,18 @@ def shifted_grid_transform(f: StepFunction, r: float, shifts, j_lo: int, j_hi: i
     Petermichl shift exactly: the deepest coefficient level cell-averages to
     zero, matching the window truncation.
     """
-    return StepFunction(f.mesh, _WindowTransforms(f, [(j_lo, j_hi)])(r, shifts)[0])
+    offsets = np.array([shifts[j] for j in range(j_lo, j_hi + 1)], dtype=float)
+    return StepFunction(f.mesh, _WindowTransforms(f, [(j_lo, j_hi)])(r, offsets)[0])
 
 
 class _WindowTransforms:
     """`shifted_grid_transform` cell values of one signal for each generation
-    window (j_lo, j_hi) in `windows`, one row each, on the sampled grid
-    (r, shifts) of each call.  The generations of all windows are evaluated
-    once, in (generation x edge) blocks of at most TRANSFORM_BLOCK_ELEMENTS
-    elements, and each generation's row is added to every window holding it.
-    A window thus sums its rows in generation order, so its result is bit for
-    bit that of a call with it alone.
+    window (j_lo, j_hi) in `windows`, one row each, on the sampled grid of
+    each call (scale r, offsets x_j for j in `gens`).  The generations of all
+    windows are evaluated once, in (generation x edge) blocks of at most
+    TRANSFORM_BLOCK_ELEMENTS elements, and each generation's row is added to
+    every window holding it.  A window thus sums its rows in generation order,
+    so its result is bit for bit that of a call with it alone.
 
     The signal's edges, primitive and jumps are computed once, and every block
     of every call writes into the same block-sized work arrays, so that the
@@ -424,10 +424,10 @@ class _WindowTransforms:
         self.p_edges = np.empty((len(windows), self.edges.size))
         self.out = np.empty((len(windows), mesh.n_cells))
 
-    def __call__(self, r: float, shifts) -> np.ndarray:
+    def __call__(self, r: float, offsets: np.ndarray) -> np.ndarray:
         edges, p_edges = self.edges, self.p_edges
         ells = r * self.scales
-        offs = r * np.array([shifts[int(j)] for j in self.gens], dtype=float)
+        offs = r * offsets
         p_edges.fill(0.0)
         for start in range(0, self.gens.size, self.step):
             ell = ells[start : start + self.step, None]
@@ -537,7 +537,6 @@ class LinearOperator:
     mesh: Mesh
     apply: callable
     adjoint: callable
-    name: str = ""
 
 
 def positive_dyadic_operator(seq) -> LinearOperator:
@@ -552,7 +551,7 @@ def positive_dyadic_operator(seq) -> LinearOperator:
         pyr = means_pyramid(StepFunction(mesh, values))
         return broadcast([lam * m for lam, m in zip(weights_by_level, pyr)], np.add)
 
-    return LinearOperator(mesh, apply, apply, name="positive_dyadic")
+    return LinearOperator(mesh, apply, apply)
 
 
 def dense_matrix(op: LinearOperator) -> np.ndarray:
@@ -628,7 +627,7 @@ def square_norm_weighted(w: StepFunction, iters: int = 10 ** 4, tol: float = 1e-
         s = analyze(StepFunction(mesh, g))
         return synthesize(HaarSpectrum(mesh, 0.0, [c * r for c, r in zip(s.levels, roots)])).values
 
-    op = LinearOperator(mesh, apply, apply, name="square")
+    op = LinearOperator(mesh, apply, apply)
     return operator_norm_two_weight(op, w, StepFunction(mesh, np.ones(mesh.n_cells)), iters, tol, seed)
 
 
@@ -649,12 +648,11 @@ def named_operator(
         adj = lambda g: paraproduct_adjoint(b, StepFunction(mesh, g)).values
         if name == "paraproduct_adj":
             fwd, adj = adj, fwd
-        return LinearOperator(mesh, fwd, adj, name=name)
+        return LinearOperator(mesh, fwd, adj)
     if name == "sparse":
         if family is None:
             raise ValueError("sparse needs a family")
-        op = positive_dyadic_operator(family.packing_sequence())
-        return LinearOperator(mesh, op.apply, op.adjoint, name=name)
+        return positive_dyadic_operator(family.packing_sequence())
     if name == "martingale":
         coeffs = ShiftCoefficients.from_sign_symbol(
             SignSymbol.constant(mesh) if sigma is None else sigma
@@ -674,4 +672,4 @@ def named_operator(
         sha, sha_adj = fwd, adj
         fwd = lambda g: b.values * sha(g) - sha(b.values * g)
         adj = lambda g: sha_adj(b.values * g) - b.values * sha_adj(g)
-    return LinearOperator(mesh, fwd, adj, name=name)
+    return LinearOperator(mesh, fwd, adj)

@@ -50,11 +50,10 @@ class Mesh:
         return self.root.length * 2.0 ** (-level)
 
     def first_index(self, level: int) -> int:
-        """Grid index of the leftmost level-`level` descendant of the root."""
-        k = self.root.k
-        for j in range(self.root.j + 1, self.root.j + level + 1):
-            k = 2 * k + self.grid.bit(j)
-        return k
+        """Grid index of the leftmost level-`level` descendant of the root: the
+        root's left end less the shift x_j, in units of 2^-j (exact integers)."""
+        j = self.root.j + level
+        return (self.root._unscaled_left_numerator() - self.grid.shift_numerator(j)) >> (self.grid.j_max - j)
 
     def interval(self, level: int, pos: int) -> DyadicInterval:
         if not 0 <= level <= self.depth:
@@ -161,11 +160,14 @@ class StepFunction:
             j_root = round(math.log2(grid.r / length))
             if abs(grid.generation_length(j_root) - length) > 1e-12 * length:
                 raise ValueError("root length does not match a grid generation")
+            if not (grid.j_min <= j_root and j_root + depth <= grid.j_max):
+                raise ValueError(f"generations {j_root}..{j_root + depth} outside window [{grid.j_min},{grid.j_max}]")
         root = grid.locate(left + 0.25 * length, j_root)
         if abs(root.left - left) > 1e-9 * max(1.0, abs(left)):
             raise ValueError("root_left is not a grid interval endpoint")
         mesh = Mesh(root, depth)
         vals = np.zeros(mesh.n_cells)
+        given = np.zeros(mesh.n_cells, dtype=bool)
         with open(path) as fh:
             reader = csv.DictReader(fh, restval="nan")  # a short row fails the finite check
             if not {"cell_index", "value"} <= set(reader.fieldnames or ()):
@@ -174,7 +176,9 @@ class StepFunction:
                 i, v = int(row["cell_index"]), float(row["value"])
                 if not (0 <= i < mesh.n_cells and math.isfinite(v)):
                     raise ValueError(f"row {i},{v}: need cell_index in [0, {mesh.n_cells}) and a finite value")
-                vals[i] = v
+                if given[i] and vals[i] != v:
+                    raise ValueError(f"signal CSV gives cell {i} two different values")
+                vals[i], given[i] = v, True
         return cls(mesh, vals)
 
 
@@ -340,13 +344,18 @@ def haar_refine(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
+def haar_steps(s: HaarSpectrum):
+    """Yield per level the value c_I |I|^{-1/2} of each Haar term of s on the right half of I."""
+    for level, coeffs in enumerate(s.levels):
+        yield coeffs * (1.0 / math.sqrt(s.mesh.level_length(level)))
+
+
 def partial_sums(s: HaarSpectrum):
     """Yield the Haar partial sums of s through levels 0..J-1; the one through
     level l lives on the 2^(l+1) children of level l, the last on the cells."""
     cur = np.array([s.mean])
-    for level, coeffs in enumerate(s.levels):
-        amp = 1.0 / math.sqrt(s.mesh.level_length(level))
-        cur = haar_refine(cur, coeffs * amp)
+    for step in haar_steps(s):
+        cur = haar_refine(cur, step)
         yield cur
 
 

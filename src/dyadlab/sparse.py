@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CalibrationError, InfeasibleError, ResolutionError
 from .operators import SignSymbol, martingale_transform, positive_dyadic_operator
-from .signal import Mesh, StepFunction, analyze, broadcast, haar_refine, pyramid
+from .signal import HaarSpectrum, Mesh, StepFunction, analyze, broadcast, haar_refine, haar_steps, pyramid
 from .weights import CarlesonSequence, carleson_intensity
 
 
@@ -81,9 +81,9 @@ class SparseFamily:
 
     def packing_sequence(self) -> CarlesonSequence:
         """lambda_Q = |Q| on the members, zero elsewhere."""
-        return CarlesonSequence.from_entries(
-            self.mesh, {m: self.mesh.level_length(m[0]) for m in self.members}
-        )
+        levels, pos = np.array(self.members, dtype=np.int64).reshape(-1, 2).T
+        counts = [np.bincount(pos[levels == l], minlength=1 << l) for l in range(self.mesh.depth + 1)]
+        return CarlesonSequence(self.mesh, [c * self.mesh.level_length(l) for l, c in enumerate(counts)])
 
     def to_json(self) -> str:
         """Members as absolute grid addresses {generation, index} plus
@@ -239,36 +239,26 @@ def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float):
     function or the sharp truncation of f 1_Q exceeds C0 <|f|>_Q / 2; skip Q
     when f vanishes on it.
 
-    Both are read off Q's slices of pyramids built once for f 1_I0, and match
-    the two operators on a zero-padded copy of the mesh bit for bit.  Above
+    Both are read off Q's slices of pyramids built once for f 1_I0.  Above
     Q, the means of |f 1_Q| halve and its Haar partial sums stay below
-    |<f>_Q| (a geometric series), so neither raises the maximum.  The last
-    partial sum, at Q, starts the sums inside Q: it is replayed along Q's
-    ancestor path, where f 1_Q has one nonzero mean per level, with the float
-    operations of `analyze` and `partial_sums`.
+    |<f>_Q| (a geometric series), so neither raises the maximum.  On Q, each
+    Haar term of f 1_Q above Q is sigma_I <f>_Q |Q|/|I|: the sums inside Q
+    start from <f>_Q times Q's `_ancestor_sums` entry.
     """
     mesh = floc.mesh
     absf = np.abs(floc.values)
     abs_means, means = pyramid(absf, np.mean), pyramid(floc.values, np.mean)
-    scales = [0.5 * math.sqrt(mesh.level_length(l)) for l in range(mesh.depth)]  # those of `analyze`
-    amps = [1.0 / math.sqrt(mesh.level_length(l)) for l in range(mesh.depth)]  # and of `partial_sums`
-    steps = [c * sg * amp for c, sg, amp in zip(analyze(floc).levels, sigma.levels, amps)]
+    path = _ancestor_sums(sigma)
+    signed = [np.multiply(c, sg, out=c) for c, sg in zip(analyze(floc).levels, sigma.levels)]  # one tree copy fewer
+    steps = list(haar_steps(HaarSpectrum(mesh, 0.0, signed)))
 
     def rule(level, pos):
         sl = mesh.cell_slice(level, pos)
         avg_abs = float(np.mean(absf[sl]))
         if avg_abs == 0.0:
             return None  # nothing left to dominate below this interval
-        mean, coeffs = means[level][pos], []
-        for l in range(level - 1, -1, -1):  # analysis up the path: sibling means are 0
-            pair = (0.0, mean) if pos >> (level - 1 - l) & 1 else (mean, 0.0)
-            coeffs.append((pair[1] - pair[0]) * scales[l] * sigma.levels[l][pos >> (level - l)])
-            mean = (pair[0] + pair[1]) / 2
-        total = 0.0  # partial sums down the path, from the zero mean term
-        for l, c in enumerate(reversed(coeffs)):
-            total = total + c * amps[l] if pos >> (level - 1 - l) & 1 else total - c * amps[l]
         below = _subtree(abs_means, level, pos)
-        tops, sums = below[:1], np.array([total])
+        tops, sums = below[:1], np.array([means[level][pos] * path[level][pos]])
         for m, step in zip(below[1:], _subtree(steps, level, pos)):
             sums = haar_refine(sums, step)
             tops.append(np.maximum(m, np.abs(sums)))
@@ -278,6 +268,15 @@ def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float):
         return stopping
 
     return rule
+
+
+def _ancestor_sums(sigma: SignSymbol) -> list[np.ndarray]:
+    """Per tree level, sum_{I > Q} sigma_I |Q|/|I| for each Q: 0 at the root, (sum at I + sigma_I) / 2 at
+    both children of I.  The entries are multiples of 2^-J in (-1, 1), so exact in floating point."""
+    path = [np.zeros(1)]
+    for sg in sigma.levels:
+        path.append(np.repeat((path[-1] + sg) / 2, 2))
+    return path
 
 
 def _subtree(levels, level: int, pos: int) -> list[np.ndarray]:

@@ -227,13 +227,6 @@ class CarlesonSequence:
     def zeros(cls, mesh: Mesh) -> "CarlesonSequence":
         return cls(mesh, [np.zeros(1 << level) for level in range(mesh.depth + 1)])
 
-    @classmethod
-    def from_entries(cls, mesh: Mesh, entries: dict) -> "CarlesonSequence":
-        seq = cls.zeros(mesh)
-        for (level, pos), lam in entries.items():
-            seq.levels[level][pos] = lam
-        return seq
-
     def subtree_sums(self) -> list[np.ndarray]:
         sums = [None] * (self.mesh.depth + 1)
         sums[self.mesh.depth] = self.levels[self.mesh.depth].copy()

@@ -4,7 +4,7 @@ Each `<stem>.json` is the full report that `dyadlab.experiments.run` returns
 for the config below, the same report the CLI writes for those flags.
 `tests/test_reference.py` reruns the config stored in each file and compares
 its rows and family: exactly, but for the `average-hilbert` correlations and
-the `norms` power-iteration estimates, which go through BLAS and are compared
+the `norms` and `ntv` power-iteration estimates, which go through BLAS and are compared
 to the relative tolerances in its `FLOAT_RTOL`.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/reference/regenerate.py
@@ -32,6 +32,12 @@ REFERENCES = {
     "norms_sha_d12_s0": dict(experiment="norms", depth=12, operator="sha", alphas=(0.3, 0.9, 1.5, 2.0), seed=0),
     # and dyadlab norms --depth 10 --operator commutator_sha --seed 0
     "norms_commutator_sha_d10_s0": dict(experiment="norms", depth=10, operator="commutator_sha", seed=0),
+    # the README example: dyadlab carleson --depth 8 --samples 100 --seed 0
+    "carleson_d8_s0": dict(experiment="carleson", depth=8, samples=100, seed=0),
+    # the README example: dyadlab bellman --samples 10000 --seed 0
+    "bellman_s0": dict(experiment="bellman", samples=10000, seed=0),
+    # the README example: dyadlab ntv --depth 8 --alphas 0.5,1.0 --seed 0
+    "ntv_d8_s0": dict(experiment="ntv", depth=8, alphas=(0.5, 1.0), seed=0),
 }
 
 

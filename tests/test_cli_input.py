@@ -111,6 +111,33 @@ def test_signal_csv_without_value_column_is_a_config_error(tmp_path, capsys):
     assert_config_error(capsys, ["haar", *files])
 
 
+def test_signal_cell_given_two_values_is_a_config_error(tmp_path, capsys):
+    # the second row once overwrote the first and the run exited 0
+    files = write_signal(tmp_path, 2, [(0, "1.0"), (1, "2.0"), (0, "3.0")])
+    for experiment in ("haar", "average-hilbert"):
+        assert_config_error(capsys, [experiment, *files, "--samples", "2", "--seed", "0"])
+    files = write_signal(tmp_path, 2, [(0, "1.0"), (1, "2.0"), (0, "1.0")])  # repeated, but consistent
+    assert main(["haar", *files]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(3, 6), (-2, 1)],
+    ids=["root-above-window", "cells-below-window"],
+)
+def test_grid_window_missing_the_signal_is_a_config_error(tmp_path, capsys, window):
+    # a depth-2 signal on [0, 1) needs generations 0..2; both windows once exited 3 ("numeric")
+    files = write_signal(tmp_path, 2, [(0, "1.0"), (3, "-2.0")])
+    j_min, j_max = window
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"r": 1.0, "j_min": j_min, "j_max": j_max, "beta": "0" * (j_max - j_min + 1)}))
+    assert_config_error(capsys, ["haar", *files, "--grid", str(grid)])
+    grid.write_text(json.dumps({"r": 1.0, "j_min": -2, "j_max": 2, "beta": "00000"}))
+    assert main(["haar", *files, "--grid", str(grid)]) == 0
+    capsys.readouterr()
+
+
 def test_signal_side_file_without_depth_is_a_config_error(tmp_path, capsys):
     files = write_signal(tmp_path, 2, [(0, "1.0")])
     (tmp_path / "sig.json").write_text('{"root_left": 0.0, "root_right": 1.0}')

@@ -657,6 +657,36 @@ def test_average_shifts_match_reference_at_bench_depth():
     )
 
 
+@pytest.mark.parametrize("depth", [3, 6])
+def test_average_shifts_match_the_per_sample_shift_walk_at_wide_margins(monkeypatch, depth):
+    # the offsets x_j are running sums from the finest generation up; at
+    # margin 100 they add 2 * 100 + depth terms over 200 binades, so the sums
+    # round, and must still round as the per-sample dict walk's did (summed
+    # pairwise or from the coarsest term, about 3 % and 18 % of them differ)
+    import dyadlab.operators as operators
+
+    calls, transform = [], operators._WindowTransforms.__call__
+
+    def recorded(self, r, offsets):
+        calls.append((r, offsets.copy(), self.gens))
+        return transform(self, r, offsets)
+
+    monkeypatch.setattr(operators._WindowTransforms, "__call__", recorded)
+    mesh = unit_mesh(depth)
+    f = rand_f(mesh, np.random.default_rng(depth))
+    margins = [3, 40, 100]
+    together = average_shifts(f, 3, 9, margins)
+    j_root, j_cell = mesh.root.j, mesh.root.j + mesh.depth
+    for k, (r, offsets, gens) in enumerate(calls):  # the samples of each margin's cap group, in order
+        cap = max(margins[k // 3], 8)
+        want_r, shifts = sampled_grid(9, k % 3, j_root - cap, j_cell + cap)
+        assert r == want_r
+        np.testing.assert_array_equal(offsets, [shifts[j] for j in gens])
+    for margin, got in together.items():
+        assert np.all(np.isfinite(got.values))
+        np.testing.assert_array_equal(got.values, average_shift_per_margin_oracle(f, 3, 9, margin))
+
+
 FAULT_PROBE = """
 import resource
 import numpy as np

@@ -18,11 +18,15 @@ HERE = Path(__file__).resolve().parent / "reference"
 REFERENCES = sorted(HERE.glob("*.json"))
 # relative tolerance on float fields, by experiment (default: exact); the
 # average-hilbert correlation is np.corrcoef, whose products go through BLAS.
-# The norms power iteration stops once sigma moves by at most norm_tol relative
-# in a step, and its vector norms go through BLAS `dot`: another rounding may
-# stop it a step earlier or later, which moves sigma (and the ratio) by about
-# norm_tol, so allow ten times that
-FLOAT_RTOL = {"average-hilbert": 1e-12, "norms": 10 * ExperimentConfig.norm_tol}
+# The norms and ntv power iterations stop once sigma moves by at most norm_tol
+# relative in a step, and their vector norms go through BLAS `dot`: another
+# rounding may stop one a step earlier or later, which moves sigma (and the
+# ratio) by about norm_tol, so allow ten times that
+FLOAT_RTOL = {
+    "average-hilbert": 1e-12,
+    "norms": 10 * ExperimentConfig.norm_tol,
+    "ntv": 10 * ExperimentConfig.norm_tol,
+}
 
 
 def matches(got, want, rtol):

@@ -147,6 +147,28 @@ def test_mesh_on_random_grid():
     assert np.allclose(np.diff(edges), mesh.cell_length)
 
 
+def bit_walk_first_index(mesh: Mesh, level: int) -> int:
+    """The leftmost level-`level` descendant of the root, one shift bit per
+    generation: the walk that the closed form of `Mesh.first_index` replaced."""
+    k = mesh.root.k
+    for j in range(mesh.root.j + 1, mesh.root.j + level + 1):
+        k = 2 * k + mesh.grid.bit(j)
+    return k
+
+
+def test_first_index_matches_the_bit_walk_on_random_grids():
+    rng = np.random.default_rng(240)
+    for case in range(3000):
+        j_min = int(rng.integers(-12, 6))
+        j_max = j_min + int(rng.integers(2, 40))
+        grid = sample_random_grid(rng, j_min, j_max)
+        j_root = int(rng.integers(j_min, j_max))
+        mesh = Mesh(grid.interval(j_root, int(rng.integers(-1000, 1000))), int(rng.integers(1, j_max - j_root + 1)))
+        for level in range(mesh.depth + 1):
+            assert mesh.first_index(level) == bit_walk_first_index(mesh, level), (case, level)
+            assert mesh.interval(level, 0)._unscaled_left_numerator() == mesh.root._unscaled_left_numerator()
+
+
 def test_resolution_and_mismatch_errors():
     mesh = unit_mesh(4)
     f = StepFunction(mesh, np.ones(16))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from dyadlab.operators import (
     oscillations,
     sharp_truncation,
 )
-from dyadlab.signal import Mesh, StepFunction, inner
+from dyadlab.signal import Mesh, StepFunction, inner, pyramid
 from dyadlab.sparse import (
     SparseFamily,
+    _ancestor_sums,
     _maximal_intervals,
     carleson_constant,
     construct_certificates,
@@ -27,6 +30,7 @@ from dyadlab.sparse import (
     sparse_operator,
     verify_sparse,
 )
+from dyadlab.weights import CarlesonSequence
 
 
 def unit_mesh(depth=6):
@@ -597,6 +601,95 @@ def test_lacey_engine_matches_per_member_reference(depth, seeds):
         assert low == lacey_outcome(reference_lacey_dominate, f, sigma, top=top, C0=0.125)
         got = lacey_outcome(lacey_dominate, f, sigma, top=top, C0=8.0)
         assert got == lacey_outcome(reference_lacey_dominate, f, sigma, top=top, C0=8.0)
+
+
+@pytest.mark.parametrize("depth", [3, 6, 9, 11])
+def test_lacey_engine_matches_reference_on_every_data_kind(depth):
+    # Gaussian, lognormal, half-integer-rounded (ties among the means) and
+    # 70 %-zero data, both tops, and C0 auto, 4 and 0.5 (which fails)
+    mesh = unit_mesh(depth)
+    rng = np.random.default_rng([depth, 70])
+    gauss = rng.standard_normal(mesh.n_cells)
+    sparse = rng.standard_normal(mesh.n_cells) * (rng.random(mesh.n_cells) >= 0.7)
+    sparse[0] = 1.0
+    kinds = [gauss, rng.lognormal(0.0, 2.0, mesh.n_cells), np.round(2.0 * gauss) / 2.0, sparse]
+    for values in kinds:
+        f, sigma = StepFunction(mesh, values), SignSymbol.random(mesh, rng)
+        for top in [(0, 0), (1, 0)]:
+            for c0 in [None, 4.0, 0.5]:
+                got = lacey_outcome(lacey_dominate, f, sigma, top=top, C0=c0)
+                assert got == lacey_outcome(reference_lacey_dominate, f, sigma, top=top, C0=c0)
+
+
+def replayed_starts(floc: StepFunction, sigma: SignSymbol, level: int) -> np.ndarray:
+    """The partial sum of the martingale transform of f 1_Q at each level-`level`
+    interval Q, replayed along Q's ancestor path with the float operations of
+    `analyze` and `partial_sums`: the per-member walk that `_ancestor_sums`
+    replaced, with the members of one level along an array axis."""
+    mesh = floc.mesh
+    pos = np.arange(1 << level)
+    mean, coeffs = pyramid(floc.values, np.mean)[level], []
+    for l in range(level - 1, -1, -1):  # analysis up the path: sibling means are 0
+        right = (pos >> (level - 1 - l) & 1).astype(bool)
+        pair = (np.where(right, 0.0, mean), np.where(right, mean, 0.0))
+        scale = 0.5 * math.sqrt(mesh.level_length(l))
+        coeffs.append((pair[1] - pair[0]) * scale * sigma.levels[l][pos >> (level - l)])
+        mean = (pair[0] + pair[1]) / 2
+    total = np.zeros(pos.size)  # partial sums down the path, from the zero mean term
+    for l, c in enumerate(reversed(coeffs)):
+        right = (pos >> (level - 1 - l) & 1).astype(bool)
+        amp = 1.0 / math.sqrt(mesh.level_length(l))
+        total = np.where(right, total + c * amp, total - c * amp)
+    return total
+
+
+@pytest.mark.parametrize("depth", range(1, 17))
+def test_ancestor_sums_are_exact(depth):
+    mesh = unit_mesh(depth)
+    sigma = SignSymbol.random(mesh, np.random.default_rng(depth))
+    path = _ancestor_sums(sigma)
+    assert [a.shape for a in path] == [(1 << l,) for l in range(depth + 1)]
+    for level, got in enumerate(path):
+        pos = np.arange(1 << level)
+        # 2^level path_Q = sum over the ancestors I at levels l < level of sigma_I 2^l, an integer
+        scaled = sum((sigma.levels[l][pos >> (level - l)].astype(np.int64) << l for l in range(level)), np.zeros_like(pos))
+        np.testing.assert_array_equal(got * 2.0 ** level, scaled)
+        if level <= 8:
+            exact = [
+                sum((Fraction(int(sigma.levels[l][p >> (level - l)]), 1 << (level - l)) for l in range(level)), Fraction(0))
+                for p in range(1 << level)
+            ]
+            assert [Fraction(x) for x in got] == exact
+
+
+@pytest.mark.parametrize("depth", range(1, 17))
+def test_closed_form_start_is_within_four_ulp_of_the_replay(depth):
+    mesh = unit_mesh(depth)
+    rng = np.random.default_rng([depth, 4])
+    f = StepFunction(mesh, rng.standard_normal(mesh.n_cells) * np.exp(3.0 * rng.standard_normal(mesh.n_cells)))
+    sigma = SignSymbol.random(mesh, rng)
+    means, path = pyramid(f.values, np.mean), _ancestor_sums(sigma)
+    for level in range(depth + 1):
+        gap = np.abs(means[level] * path[level] - replayed_starts(f, sigma, level))
+        assert np.all(gap <= 4 * np.finfo(float).eps * np.abs(means[level])), level
+
+
+@pytest.mark.parametrize("depth", [1, 4, 9, 13])
+def test_packing_sequence_matches_the_entry_by_entry_build(depth):
+    mesh = unit_mesh(depth)
+    rng = np.random.default_rng(depth)
+    for density in (0.0, 0.05, 0.5, 1.0):
+        members = [(l, p) for l in range(depth + 1) for p in range(1 << l) if rng.random() < density]
+        rng.shuffle(members)
+        family = SparseFamily(mesh, members)
+        want = CarlesonSequence.zeros(mesh)
+        for level, pos in family.members:
+            want.levels[level][pos] = mesh.level_length(level)
+        got = family.packing_sequence()
+        assert len(got.levels) == depth + 1
+        for a, b in zip(got.levels, want.levels):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 def reference_lor_probe(family: SparseFamily, b: StepFunction) -> dict:

@@ -244,7 +244,8 @@ def test_bmo_squared_equals_coefficient_intensity():
 
 def test_carleson_intensity_trivial_and_oracle():
     mesh = unit_mesh(6)
-    seq = CarlesonSequence.from_entries(mesh, {(0, 0): 1.0})
+    seq = CarlesonSequence.zeros(mesh)
+    seq.levels[0][0] = 1.0
     assert carleson_intensity(seq) == pytest.approx(1.0 / mesh.root.length, rel=1e-14)
     rng = np.random.default_rng(11)
     for depth in [4, 6, 8]:
