@@ -71,7 +71,11 @@ class GridParameters:
             ) from None
 
     def shift(self, j: int) -> Fraction:
-        return Fraction(self.shift_numerator(j), 1 << self.j_max)
+        return self._unscaled(self.shift_numerator(j))
+
+    def _unscaled(self, numerator: int) -> Fraction:
+        """numerator / 2^{j_max} exactly; j_max may be negative."""
+        return Fraction(numerator) / Fraction(2) ** self.j_max
 
     def check_generation(self, j: int):
         if not self.j_min <= j <= self.j_max:
@@ -122,13 +126,16 @@ class GridParameters:
     @classmethod
     def from_json(cls, text: str) -> "GridParameters":
         d = json.loads(text)
-        return cls(
-            r=float(d["r"]),
-            j_min=int(d["j_min"]),
-            j_max=int(d["j_max"]),
-            beta=tuple(int(c) for c in d["beta"]),
-            span=tuple(d.get("span", (-2, 1))),
-        )
+        try:
+            return cls(
+                r=float(d["r"]),
+                j_min=int(d["j_min"]),
+                j_max=int(d["j_max"]),
+                beta=tuple(int(c) for c in d["beta"]),
+                span=tuple(d.get("span", (-2, 1))),
+            )
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"grid file needs an object with numeric r, j_min, j_max, a beta bit string and a span pair: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -144,11 +151,10 @@ class DyadicInterval:
         return self.k * (1 << (self.grid.j_max - self.j)) + self.grid.shift_numerator(self.j)
 
     def unscaled_left(self) -> Fraction:
-        return Fraction(self._unscaled_left_numerator(), 1 << self.grid.j_max)
+        return self.grid._unscaled(self._unscaled_left_numerator())
 
     def unscaled_right(self) -> Fraction:
-        num = self._unscaled_left_numerator() + (1 << (self.grid.j_max - self.j))
-        return Fraction(num, 1 << self.grid.j_max)
+        return self.grid._unscaled(self._unscaled_left_numerator() + (1 << (self.grid.j_max - self.j)))
 
     @property
     def left(self) -> float:
@@ -178,30 +184,9 @@ class DyadicInterval:
         right = DyadicInterval(self.grid, self.j + 1, 2 * self.k + b + 1)
         return (left, right)
 
-    def sibling_sign(self) -> int:
-        """+1 if this interval is the right child of its parent, else -1."""
-        if self.j <= self.grid.j_min:
-            raise OutOfWindowError(f"interval at j_min={self.grid.j_min} has no parent")
-        return 1 if (self.k - self.grid.bit(self.j)) & 1 else -1
-
     def contains(self, x: float) -> bool:
         t = Fraction(x) / Fraction(self.grid.r)
         return self.unscaled_left() <= t < self.unscaled_right()
-
-    def contains_interval(self, other: "DyadicInterval") -> bool:
-        if other.grid is self.grid or other.grid == self.grid:
-            if other.j < self.j:
-                return False
-            lo = self._unscaled_left_numerator()
-            hi = lo + (1 << (self.grid.j_max - self.j))
-            olo = other._unscaled_left_numerator()
-            ohi = olo + (1 << (other.grid.j_max - other.j))
-            return lo <= olo and ohi <= hi
-        a = Fraction(self.grid.r) * self.unscaled_left()
-        b = Fraction(self.grid.r) * self.unscaled_right()
-        c = Fraction(other.grid.r) * other.unscaled_left()
-        d = Fraction(other.grid.r) * other.unscaled_right()
-        return a <= c and d <= b
 
     def contains_range(self, a: float, b: float) -> bool:
         """Whether [a, b) is contained in this interval (exact comparison)."""

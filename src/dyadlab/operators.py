@@ -128,10 +128,6 @@ def petermichl_shift(f: StepFunction) -> StepFunction:
     return haar_shift(f, ShiftCoefficients.petermichl(f.mesh))
 
 
-def petermichl_adjoint(f: StepFunction) -> StepFunction:
-    return haar_shift(f, ShiftCoefficients.petermichl(f.mesh).transpose())
-
-
 @dataclass
 class ShiftCoefficients:
     """Coefficients c^L_{I,J} of a Haar shift of complexity (m, n).
@@ -233,11 +229,6 @@ def product_decomposition(b: StepFunction, f: StepFunction):
     mf = float(np.mean(f.values))
     correction = StepFunction(f.mesh, np.full(f.mesh.n_cells, mb * mf))
     return pb, pstar, pf, correction
-
-
-def commutator_shift(b: StepFunction, f: StepFunction) -> StepFunction:
-    """[b, Sha] f = b (Sha f) - Sha(b f), computed directly."""
-    return b * petermichl_shift(f) - petermichl_shift(b * f)
 
 
 def chung_decomposition(b: StepFunction, f: StepFunction):

@@ -309,9 +309,3 @@ def sht_reconstruct(coeffs: np.ndarray, tops: np.ndarray, basis: SHTHaarSystem) 
 def gram_matrix(basis: SHTHaarSystem) -> np.ndarray:
     H, mu = basis.functions, basis.system.cloud.mass
     return H @ (mu[:, None] * H.T)
-
-
-def sht_projection(f: np.ndarray, basis: SHTHaarSystem, level: int, cube: int) -> np.ndarray:
-    """Projection of f onto the mean-zero span over the children of one cube."""
-    rows = basis.functions[(basis.level == level) & (basis.cube == cube)]
-    return (rows @ (np.asarray(f, dtype=float) * basis.system.cloud.mass)) @ rows

@@ -78,7 +78,7 @@ class Mesh:
         base = self.root._unscaled_left_numerator()
         step = 1 << (self.grid.j_max - self.root.j - self.depth)
         nums = base + step * np.arange(self.n_cells + 1, dtype=float)
-        return self.grid.r * (nums / float(1 << self.grid.j_max))
+        return self.grid.r * (nums / 2.0 ** self.grid.j_max)
 
     def cell_midpoints(self) -> np.ndarray:
         e = self.cell_edges()
@@ -212,9 +212,6 @@ class HaarSpectrum:
         if len(self.levels) != self.mesh.depth:
             raise ValueError("spectrum must carry one array per coefficient level")
         self.levels = [np.asarray(a, dtype=float) for a in self.levels]
-
-    def coefficient(self, level: int, pos: int) -> float:
-        return float(self.levels[level][pos])
 
     def energy(self) -> float:
         """Sum of squared Haar coefficients (mean term excluded)."""

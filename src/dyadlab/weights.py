@@ -1,9 +1,6 @@
 """Weights, their characteristics, Carleson sequences, and Bellman lemmas.
 
-Characteristic suprema run over the mesh's own dyadic tree and, optionally,
-over intervals of extra user-supplied grids (the default trio being the
-1/3-shifted grids), with foreign-interval averages computed exactly from the
-step-function prefix integrals.
+Characteristic suprema run over the mesh's own dyadic tree.
 """
 
 from __future__ import annotations
@@ -15,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .grid import third_grid
-from .signal import Mesh, StepFunction, _pair_sum, _prefix_at, means_pyramid, pyramid
+from .signal import Mesh, StepFunction, _pair_sum, means_pyramid, pyramid
 from . import operators
 
 
@@ -82,63 +78,17 @@ def _deltas(pyr, level):
     return fine[1::2] - fine[0::2]
 
 
-def ap_characteristic(w: Weight, p: float, grids=None) -> float:
-    return ap_characteristic_report(w, p, grids)["value"]
+def ap_characteristic(w: Weight, p: float) -> float:
+    return ap_characteristic_report(w, p)["value"]
 
 
-def ap_characteristic_report(w: Weight, p: float, grids=None) -> dict:
-    """sup over intervals of <w>_I <w^{-1/(p-1)}>_I^{p-1}.
-
-    Scans the mesh's own dyadic tree plus any supplied extra grids; pass
-    grids="thirds" for the three 1/3-shifted grids.  Extra-grid intervals are
-    restricted to those inside the mesh root.
-    """
+def ap_characteristic_report(w: Weight, p: float) -> dict:
+    """sup over the mesh's dyadic intervals of <w>_I <w^{-1/(p-1)}>_I^{p-1},
+    with the (level, position) of the interval attaining it."""
     if p <= 1:
         raise ValueError("A_p characteristic needs p > 1")
-    mesh = w.mesh
-    sigma = w.dual(p)
-    best, arg = _tree_max_product(means_pyramid(w), means_pyramid(sigma), p - 1.0)
-    scanned = ["mesh"]
-    if grids == "thirds":
-        j_cell = mesh.root.j + mesh.depth
-        grids = [third_grid(i, mesh.root.j - 1, j_cell + 2) for i in range(3)]
-    for gi, g in enumerate(grids or []):
-        scanned.append(f"grid{gi}")
-        val = _foreign_sup(w, sigma, p, g)
-        if val > best:
-            best = val
-            arg = None
-    return {
-        "characteristic_name": f"A_{p:g}",
-        "value": float(best),
-        "argmax_interval": arg,
-        "grids_scanned": scanned,
-        "mesh_depth": mesh.depth,
-    }
-
-
-def _foreign_sup(w: Weight, sigma: Weight, p: float, g) -> float:
-    mesh = w.mesh
-    edges = mesh.cell_edges()
-    left, right = edges[0], edges[-1]
-    pw, ps = w.prefix_integrals(), sigma.prefix_integrals()
-    best = -math.inf
-    for j in range(g.j_min, g.j_max + 1):
-        length = g.generation_length(j)
-        if length > right - left:
-            continue
-        off = g.r * float(g.shift(j))
-        k_lo = math.ceil((left - off) / length - 1e-12)
-        k_hi = math.floor((right - off) / length + 1e-12) - 1
-        if k_hi < k_lo:
-            continue
-        lefts = off + np.arange(k_lo, k_hi + 1) * length
-        rights = lefts + length
-        aw = (_prefix_at(edges, pw, w.values, rights) - _prefix_at(edges, pw, w.values, lefts)) / length
-        as_ = (_prefix_at(edges, ps, sigma.values, rights) - _prefix_at(edges, ps, sigma.values, lefts)) / length
-        val = float(np.max(aw * as_ ** (p - 1.0)))
-        best = max(best, val)
-    return best
+    best, arg = _tree_max_product(means_pyramid(w), means_pyramid(w.dual(p)), p - 1.0)
+    return {"value": float(best), "argmax_interval": arg}
 
 
 def a_infty_fujii_wilson(w: Weight) -> float:

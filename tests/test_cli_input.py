@@ -56,19 +56,31 @@ def test_good_signal_rows_still_load(tmp_path, capsys):
 
 
 def test_signal_root_longer_than_its_cells_loads(tmp_path, capsys):
-    # a depth-2 signal on [0, 1024) once built a grid window with j_max < 0: "negative shift count", exit 2
+    # a depth-2 signal on [0, 1024) spans generations -10..-8; a grid window with j_max < 0 holds them, but
+    # once failed on its 2^j_max denominators with "negative shift count", exit 2
     files = write_signal(tmp_path, 2, [(0, "1.0"), (1, "-2.0"), (2, "0.5"), (3, "3.0")])
+
+    def haar_rows(name, *flags):
+        out = tmp_path / name
+        assert main(["haar", *files, *flags, "--out", str(out), "--format", "json"]) == 0
+        capsys.readouterr()
+        (report,) = out.glob("*.json")
+        return strict_loads(report.read_text())["rows"]
+
     coefficients = {}
     for right in (4.0, 1024.0):
         (tmp_path / "sig.json").write_text(json.dumps({"root_left": 0.0, "root_right": right, "depth": 2}))
-        out = tmp_path / f"out{right:g}"
-        assert main(["haar", *files, "--out", str(out), "--format", "json"]) == 0
-        capsys.readouterr()
-        (report,) = out.glob("*.json")
-        coefficients[right] = [row["coefficient"] for row in strict_loads(report.read_text())["rows"]]
+        coefficients[right] = [row["coefficient"] for row in haar_rows(f"out{right:g}")]
     # stretching the root by 256 keeps the mean (row 0) and multiplies each <f, h_I> by sqrt(256)
     mean, *haar = coefficients[4.0]
     assert coefficients[1024.0] == [mean] + [16.0 * c for c in haar]
+    rows = {}
+    for j_max in (-5, 0):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"r": 1.0, "j_min": -12, "j_max": j_max, "beta": "0" * (j_max + 13)}))
+        rows[j_max] = haar_rows(f"grid{j_max}", "--grid", str(grid))
+    assert rows[-5] == rows[0]
+    assert [row["coefficient"] for row in rows[-5]] == coefficients[1024.0]
 
 
 def test_margin_emptying_every_window_is_a_config_error(capsys):
@@ -136,6 +148,24 @@ def test_grid_window_missing_the_signal_is_a_config_error(tmp_path, capsys, wind
     grid.write_text(json.dumps({"r": 1.0, "j_min": -2, "j_max": 2, "beta": "00000"}))
     assert main(["haar", *files, "--grid", str(grid)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"r": 1.0, "j_min": -2, "j_max": 2}',
+        '{"r": 1.0, "j_min": -2, "j_max": 2, "beta": 5}',
+        '[1.0, -2, 2, "00000"]',
+        '{"r": 1.0, "j_min": -2, "j_max": 2, "beta": "00000", "span": [1]}',
+    ],
+    ids=["no-beta", "numeric-beta", "list", "one-number-span"],
+)
+def test_malformed_grid_file_is_a_config_error(tmp_path, capsys, text):
+    # once: KeyError, TypeError, TypeError and IndexError tracebacks, exit 1
+    files = write_signal(tmp_path, 2, [(0, "1.0"), (3, "-2.0")])
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    assert_config_error(capsys, ["haar", *files, "--grid", str(grid)])
 
 
 def test_signal_side_file_without_depth_is_a_config_error(tmp_path, capsys):

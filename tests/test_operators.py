@@ -21,7 +21,6 @@ from dyadlab.operators import (
     average_shift,
     average_shifts,
     chung_decomposition,
-    commutator_shift,
     dense_matrix,
     haar_shift,
     hilbert_exact,
@@ -33,7 +32,6 @@ from dyadlab.operators import (
     operator_norm_weighted,
     paraproduct,
     paraproduct_adjoint,
-    petermichl_adjoint,
     petermichl_shift,
     positive_dyadic_operator,
     product_decomposition,
@@ -235,16 +233,6 @@ def test_sha_matrix_matches_coefficient_recursion():
     assert np.allclose(sf.levels[0], 0.0)
 
 
-def test_sha_adjoint_consistency():
-    mesh = unit_mesh(6)
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        f, g = rand_f(mesh, rng), rand_f(mesh, rng)
-        assert inner(petermichl_shift(f), g) == pytest.approx(
-            inner(f, petermichl_adjoint(g)), rel=1e-10, abs=1e-12
-        )
-
-
 # -- Haar shifts of complexity (m, n) -----------------------------------------
 
 
@@ -328,7 +316,7 @@ def test_commutator_constant_symbol():
     rng = np.random.default_rng(2)
     f = rand_f(mesh, rng)
     b = StepFunction(mesh, np.full(mesh.n_cells, -1.25))
-    np.testing.assert_allclose(commutator_shift(b, f).values, 0.0, atol=1e-12)
+    np.testing.assert_allclose((b * petermichl_shift(f) - petermichl_shift(b * f)).values, 0.0, atol=1e-12)
 
 
 def test_chung_decomposition_identity():
@@ -337,7 +325,7 @@ def test_chung_decomposition_identity():
     for _ in range(25):
         b, f = rand_f(mesh, rng), rand_f(mesh, rng)
         ta, tb, tc = chung_decomposition(b, f)
-        direct = commutator_shift(b, f)
+        direct = b * petermichl_shift(f) - petermichl_shift(b * f)
         np.testing.assert_allclose(
             ta.values + tb.values + tc.values, direct.values, atol=1e-9
         )
@@ -882,7 +870,7 @@ def test_all_operators_linear():
         lambda h: petermichl_shift(h),
         lambda h: paraproduct(b, h),
         lambda h: paraproduct_adjoint(b, h),
-        lambda h: commutator_shift(b, h),
+        lambda h: b * petermichl_shift(h) - petermichl_shift(b * h),
     ]
     f, g = rand_f(mesh, rng), rand_f(mesh, rng)
     a_, b_ = 1.7, -0.3
@@ -897,7 +885,7 @@ def test_chung_third_term_grows_slower():
     # over a power-weight sweep the non-local commutator pieces drive the
     # growth; the third term obeys a visibly smaller growth exponent
     from dyadlab.experiments import sweep_mesh
-    from dyadlab.operators import LinearOperator, operator_norm_weighted
+    from dyadlab.operators import named_operator, operator_norm_weighted
     from dyadlab.weights import ap_characteristic, log_symbol, power_weight
 
     mesh = sweep_mesh(8)
@@ -908,14 +896,7 @@ def test_chung_third_term_grows_slower():
         sha_f = petermichl_shift(f)
         return (paraproduct(sha_f, b) - petermichl_shift(paraproduct(f, b))).values
 
-    full = LinearOperator(
-        mesh,
-        lambda g: commutator_shift(b, StepFunction(mesh, g)).values,
-        lambda g: (
-            petermichl_adjoint(b * StepFunction(mesh, g))
-            - b * petermichl_adjoint(StepFunction(mesh, g))
-        ).values,
-    )
+    full = named_operator("commutator_sha", mesh, b=b)
     xs, ys_full, ys_c = [], [], []
     for alpha in [0.5, 1.0, 1.5, 2.0]:
         w = power_weight(mesh, alpha)

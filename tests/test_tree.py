@@ -17,7 +17,6 @@ from dyadlab.operators import (
     mean_oscillation,
     named_operator,
     oscillations,
-    petermichl_adjoint,
     petermichl_shift,
 )
 from dyadlab.signal import (
@@ -209,7 +208,6 @@ def test_sha_on_a_depth_one_mesh_is_zero():
     mesh = sweep_mesh(1)
     f = StepFunction(mesh, [3.0, -1.0])
     assert not np.any(petermichl_shift(f).values)
-    assert not np.any(petermichl_adjoint(f).values)
     op = named_operator("sha", mesh)
     assert not np.any(op.apply(f.values)) and not np.any(op.adjoint(f.values))
 

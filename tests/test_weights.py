@@ -78,9 +78,6 @@ def test_ap_of_unit_weight_is_one():
     w = Weight(mesh, np.ones(mesh.n_cells))
     for p in [1.5, 2.0, 3.0]:
         assert ap_characteristic(w, p) == pytest.approx(1.0, rel=1e-14)
-    rep = ap_characteristic_report(w, 2.0, grids="thirds")
-    assert rep["value"] == pytest.approx(1.0, rel=1e-12)
-    assert len(rep["grids_scanned"]) == 4
 
 
 def test_ap_two_value_weight_closed_form():
