@@ -20,21 +20,20 @@ import numpy as np
 
 from .errors import OutOfWindowError
 
+MAX_GENERATION = 1022  # a grid file's window: every 2^-j with |j| <= 1022 is a normal double
+
 
 @dataclass(frozen=True)
 class GridParameters:
     """A truncated random dyadic grid D^{r,beta}.
 
-    beta holds the shift bits for generations j_min..j_max in order.  span is
-    the inclusive index range of generation-j_min intervals retained as the
-    root span of the truncated grid.
+    beta holds the shift bits for generations j_min..j_max in order.
     """
 
     r: float
     j_min: int
     j_max: int
     beta: tuple[int, ...]
-    span: tuple[int, int] = (-2, 1)
 
     def __post_init__(self):
         if not 1.0 <= self.r < 2.0:
@@ -45,8 +44,6 @@ class GridParameters:
             raise ValueError("beta must carry one bit per generation in the window")
         if any(b not in (0, 1) for b in self.beta):
             raise ValueError("beta bits must be 0 or 1")
-        if self.span[0] > self.span[1]:
-            raise ValueError("empty root span")
         # Unscaled shift numerators n_j with x_j = n_j / 2^{j_max}, built from
         # the suffix sums n_{j-1} = n_j + beta_j * 2^{j_max - j}.
         nums = {self.j_max: 0}
@@ -90,19 +87,6 @@ class GridParameters:
     def generation_length(self, j: int) -> float:
         return self.r * 2.0 ** (-j)
 
-    def root_indices(self, j: int) -> range:
-        """Index range of generation-j intervals inside the root span."""
-        self.check_generation(j)
-        lo = self.span[0]
-        hi = self.span[1]
-        for i in range(self.j_min + 1, j + 1):
-            lo = 2 * lo + self.bit(i)
-            hi = 2 * hi + self.bit(i) + 1
-        return range(lo, hi + 1)
-
-    def generation(self, j: int) -> list["DyadicInterval"]:
-        return [self.interval(j, k) for k in self.root_indices(j)]
-
     def locate(self, x: float, j: int) -> "DyadicInterval":
         """The unique generation-j interval containing x (exact rationals)."""
         self.check_generation(j)
@@ -119,23 +103,26 @@ class GridParameters:
                 "j_min": self.j_min,
                 "j_max": self.j_max,
                 "beta": "".join(str(b) for b in self.beta),
-                "span": list(self.span),
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "GridParameters":
+        """Read a grid file: exactly the keys r (a number), j_min and j_max (integers
+        with |j| <= MAX_GENERATION, which also bounds the exact shift numerators,
+        quadratic in the width) and beta (a 0/1 string)."""
         d = json.loads(text)
-        try:
-            return cls(
-                r=float(d["r"]),
-                j_min=int(d["j_min"]),
-                j_max=int(d["j_max"]),
-                beta=tuple(int(c) for c in d["beta"]),
-                span=tuple(d.get("span", (-2, 1))),
-            )
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(f"grid file needs an object with numeric r, j_min, j_max, a beta bit string and a span pair: {exc!r}") from None
+        if not isinstance(d, dict) or set(d) != {"r", "j_min", "j_max", "beta"}:
+            raise ValueError("grid file needs an object with exactly the keys r, j_min, j_max and beta")
+        r, j_min, j_max, beta = d["r"], d["j_min"], d["j_max"], d["beta"]
+        if isinstance(r, bool) or not isinstance(r, (int, float)):
+            raise ValueError(f"grid r must be a number, got {r!r}")
+        for j in (j_min, j_max):
+            if isinstance(j, bool) or not isinstance(j, int) or abs(j) > MAX_GENERATION:
+                raise ValueError(f"grid j_min and j_max must be integers in [-{MAX_GENERATION}, {MAX_GENERATION}], got {j!r}")
+        if not isinstance(beta, str):  # int() and the bit check reject any character but 0 and 1
+            raise ValueError("grid beta must be a string of 0/1 bits")
+        return cls(float(r), j_min, j_max, tuple(int(c) for c in beta))
 
 
 @dataclass(frozen=True)
@@ -201,12 +188,12 @@ class DyadicInterval:
 # -- grid factories ------------------------------------------------------
 
 
-def standard_grid(j_min: int, j_max: int, span: tuple[int, int] = (-2, 1)) -> GridParameters:
+def standard_grid(j_min: int, j_max: int) -> GridParameters:
     """The standard dyadic grid truncated to the window (r=1, beta identically 0)."""
-    return GridParameters(1.0, j_min, j_max, (0,) * (j_max - j_min + 1), span)
+    return GridParameters(1.0, j_min, j_max, (0,) * (j_max - j_min + 1))
 
 
-def third_grid(i: int, j_min: int, j_max: int, span: tuple[int, int] = (-2, 1)) -> GridParameters:
+def third_grid(i: int, j_min: int, j_max: int) -> GridParameters:
     """The i-th 1/3-shifted grid, i in {0,1,2}.
 
     i=0 is the standard grid; i=1 sets beta_j = 1 at even generations,
@@ -221,12 +208,10 @@ def third_grid(i: int, j_min: int, j_max: int, span: tuple[int, int] = (-2, 1)) 
         beta = tuple(1 if j % 2 == 0 else 0 for j in range(j_min, j_max + 1))
     else:
         beta = tuple(1 if j % 2 != 0 else 0 for j in range(j_min, j_max + 1))
-    return GridParameters(1.0, j_min, j_max, beta, span)
+    return GridParameters(1.0, j_min, j_max, beta)
 
 
-def sample_random_grid(
-    seed, j_min: int, j_max: int, span: tuple[int, int] = (-2, 1)
-) -> GridParameters:
+def sample_random_grid(seed, j_min: int, j_max: int) -> GridParameters:
     """Draw grid parameters: beta_j i.i.d. fair bits, r with density 1/(r ln 2) on [1,2).
 
     The r law is realized as r = 2^U with U uniform on [0,1).  `seed` may be
@@ -237,7 +222,7 @@ def sample_random_grid(
     r = float(2.0 ** rng.random())
     if r >= 2.0:  # guard the half-open law against rounding
         r = 1.0
-    return GridParameters(r, j_min, j_max, beta, span)
+    return GridParameters(r, j_min, j_max, beta)
 
 
 def covering_interval(a: float, b: float, grids=None) -> tuple[int, DyadicInterval]:
@@ -254,10 +239,7 @@ def covering_interval(a: float, b: float, grids=None) -> tuple[int, DyadicInterv
         # the shift sums are truncated at j_max, so keep the window a couple of
         # dozen generations deeper than the candidate lengths
         j_hi = math.floor(math.log2(1.0 / (3.0 * d))) + 1
-        j_lo = j_hi - 3
-        span_lo = math.floor(a / (2.0 ** -j_lo)) - 1
-        span_hi = math.floor(b / (2.0 ** -j_lo)) + 1
-        grids = [third_grid(i, j_lo, j_hi + 24, (span_lo, span_hi)) for i in range(3)]
+        grids = [third_grid(i, j_hi - 3, j_hi + 24) for i in range(3)]
     for i, g in enumerate(grids):
         for j in range(g.j_min, g.j_max + 1):
             length = g.generation_length(j)

@@ -269,11 +269,9 @@ def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
     level_of, cube_of = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
     row = 0
     for level in range(system.n_levels - 1):
-        here, below = system.assignment[level], system.assignment[level + 1]
-        for cube in range(len(system.centers[level])):
-            kids = system.children(level, cube)
-            if kids.size < 2:
-                continue  # wait until the cube subdivides
+        here, below, parent = system.assignment[level], system.assignment[level + 1], system.parent[level + 1]
+        for cube in np.flatnonzero(np.bincount(parent) > 1):  # a cube with one child waits until it subdivides
+            kids = np.flatnonzero(parent == cube)
             masses = np.array([mu[below == k].sum() for k in kids])
             if np.any(masses <= 0):
                 raise DegenerateWeightError("child cube with zero mass")

@@ -55,24 +55,6 @@ class Mesh:
         j = self.root.j + level
         return (self.root._unscaled_left_numerator() - self.grid.shift_numerator(j)) >> (self.grid.j_max - j)
 
-    def interval(self, level: int, pos: int) -> DyadicInterval:
-        if not 0 <= level <= self.depth:
-            raise ResolutionError(f"level {level} outside mesh levels 0..{self.depth}")
-        if not 0 <= pos < (1 << level):
-            raise ResolutionError(f"position {pos} outside level {level}")
-        return self.grid.interval(self.root.j + level, self.first_index(level) + pos)
-
-    def position_of(self, interval: DyadicInterval) -> tuple[int, int]:
-        if interval.grid != self.grid:
-            raise ResolutionError("interval belongs to a different grid")
-        level = interval.j - self.root.j
-        if not 0 <= level <= self.depth:
-            raise ResolutionError(f"interval generation {interval.j} not resolvable on mesh")
-        pos = interval.k - self.first_index(level)
-        if not 0 <= pos < (1 << level):
-            raise ResolutionError("interval lies outside the mesh root")
-        return (level, pos)
-
     def cell_edges(self) -> np.ndarray:
         """The N+1 cell endpoints, exact integer arithmetic scaled by r last."""
         base = self.root._unscaled_left_numerator()
@@ -99,9 +81,6 @@ class StepFunction:
         if vals.shape != (self.mesh.n_cells,):
             raise ValueError(f"expected {self.mesh.n_cells} cell values, got {vals.shape}")
         self.values = vals
-
-    def integral(self) -> float:
-        return float(self.values.sum() * self.mesh.cell_length)
 
     def prefix_integrals(self) -> np.ndarray:
         """P[i] = integral over the first i cells (length N+1)."""
@@ -219,8 +198,6 @@ class HaarSpectrum:
 
 
 def _resolve(mesh: Mesh, where) -> tuple[int, int]:
-    if isinstance(where, DyadicInterval):
-        return mesh.position_of(where)
     level, pos = where
     if not (0 <= level <= mesh.depth and 0 <= pos < (1 << level)):
         raise ResolutionError(f"({level},{pos}) not addressable on this mesh")

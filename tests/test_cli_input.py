@@ -157,11 +157,23 @@ def test_grid_window_missing_the_signal_is_a_config_error(tmp_path, capsys, wind
         '{"r": 1.0, "j_min": -2, "j_max": 2, "beta": 5}',
         '[1.0, -2, 2, "00000"]',
         '{"r": 1.0, "j_min": -2, "j_max": 2, "beta": "00000", "span": [1]}',
+        '{"r": 1.0, "j_min": -2, "j_max": 2, "beta": "00000", "span": [0, 1, 2]}',
+        '{"r": 1.0, "j_min": -2, "j_max": 2, "beta": "00000", "spam": 1}',
+        '{"r": 1.0, "j_min": -2.9, "j_max": 2, "beta": "00000"}',
+        '{"r": true, "j_min": -2, "j_max": 2, "beta": "00000"}',
+        '{"r": "1.0", "j_min": -2, "j_max": 2, "beta": "00000"}',
+        '{"r": 1.0, "j_min": -2, "j_max": 2, "beta": [0, 0, 0, 0, 0]}',
+        '{"r": 1.0, "j_min": -2000, "j_max": 2, "beta": "' + "0" * 2003 + '"}',
     ],
-    ids=["no-beta", "numeric-beta", "list", "one-number-span"],
+    ids=[
+        "no-beta", "numeric-beta", "list", "one-number-span", "three-number-span", "unknown-key",
+        "fractional-j_min", "boolean-r", "string-r", "list-beta", "window-past-the-normal-doubles",
+    ],
 )
 def test_malformed_grid_file_is_a_config_error(tmp_path, capsys, text):
-    # once: KeyError, TypeError, TypeError and IndexError tracebacks, exit 1
+    # once: KeyError, TypeError, TypeError and IndexError tracebacks, exit 1; the next six loaded and
+    # exited 0 (a span, an unknown key, a truncated -2.9, r true or "1.0", beta as a list), and the last
+    # kept 2003 exact shift numerators of up to 2002 bits each: memory quadratic in the window width
     files = write_signal(tmp_path, 2, [(0, "1.0"), (3, "-2.0")])
     grid = tmp_path / "grid.json"
     grid.write_text(text)

@@ -166,7 +166,8 @@ def test_first_index_matches_the_bit_walk_on_random_grids():
         mesh = Mesh(grid.interval(j_root, int(rng.integers(-1000, 1000))), int(rng.integers(1, j_max - j_root + 1)))
         for level in range(mesh.depth + 1):
             assert mesh.first_index(level) == bit_walk_first_index(mesh, level), (case, level)
-            assert mesh.interval(level, 0)._unscaled_left_numerator() == mesh.root._unscaled_left_numerator()
+            leftmost = grid.interval(mesh.root.j + level, mesh.first_index(level))
+            assert leftmost._unscaled_left_numerator() == mesh.root._unscaled_left_numerator()
 
 
 def test_resolution_and_mismatch_errors():

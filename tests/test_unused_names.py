@@ -1,7 +1,8 @@
 """Static guard over the package source: no module imports a name it never
-uses, and every private module- or class-level `_name` is referenced
-somewhere in the package.  Deleting a function should take its helpers and
-imports with it; this catches the ones left behind."""
+uses, every private module- or class-level `_name` is referenced somewhere
+in the package, and every public function or method is referenced somewhere
+in the source, the tests or the benchmark.  Deleting a function should take
+its helpers and imports with it; this catches the ones left behind."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import dyadlab
 
 PACKAGE = Path(dyadlab.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def parse(path: Path) -> ast.Module:
@@ -89,3 +91,32 @@ def test_every_private_definition_is_referenced():
         if name not in refs
     ]
     assert not orphans, f"private names nothing in the package references: {orphans}"
+
+
+def public_definitions(trees: dict[str, ast.Module]) -> dict[str, str]:
+    """Public module-level functions and public methods of classes whose bases all
+    lie in the package (a method of a foreign subclass may be a hook its base
+    calls), each with its place."""
+    classes = {node.name: node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def internal(cls: ast.ClassDef) -> bool:
+        return all(isinstance(b, ast.Name) and b.id in classes and internal(classes[b.id]) for b in cls.bases)
+
+    names = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                names[node.name] = f"{module}:{node.lineno}"
+            elif isinstance(node, ast.ClassDef) and internal(node):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        names[f"{node.name}.{item.name}"] = f"{module}:{item.lineno}"
+    return names
+
+
+def test_every_public_definition_is_referenced():
+    files = [path for top in ("src", "tests", "bench") for path in sorted((REPO / top).rglob("*.py"))]
+    refs = set().union(*(references(parse(path)) for path in files))
+    definitions = public_definitions({path.name: parse(path) for path in MODULES})
+    orphans = [f"{where} {name}" for name, where in definitions.items() if name.split(".")[-1] not in refs]
+    assert not orphans, f"public names nothing in src, tests or bench references: {orphans}"
