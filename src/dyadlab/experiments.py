@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .grid import GridParameters, standard_grid
+from .grid import MAX_GENERATION, GridParameters, standard_grid
 from .operators import (
     CANONICAL_MARGIN_CAP,
     SignSymbol,
@@ -28,6 +28,7 @@ from .operators import (
     named_operator,
     operator_norm_weighted,
     sharp_truncation,
+    shift_complexity,
     square_norm_weighted,
 )
 from .signal import MAX_DEPTH, MAX_SAMPLES, Mesh, StepFunction, analyze, lp_norm
@@ -106,6 +107,9 @@ class ExperimentConfig:
         if self.experiment == "norms" and self.depth < 2:
             # a depth-1 power sweep has no a2 spread to fit a slope to
             raise ConfigError("norms needs depth >= 2")
+        if self.experiment == "norms" and max(shift_complexity(self.operator) or (0,)) >= self.depth:
+            # a mesh of depth max(m, n) holds no shift coefficient: every norm would be 0
+            raise ConfigError(f"operator {self.operator} needs max(m, n) < depth = {self.depth}")
         if not all(type(a) in (int, float) and a > -1.0 for a in self.alphas):
             raise ConfigError("alphas must be a list of power exponents > -1")
         if self.experiment == "norms" and len({float(a) for a in self.alphas}) < 2:
@@ -295,10 +299,11 @@ def run_average_hilbert(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"margins must be at least -depth/2 = {-f.mesh.depth / 2:g}")
     ref_margin = max(max(margins) + 2, CANONICAL_MARGIN_CAP)
     # the grids are sampled on generations [j_root - ref, j_cell + ref]: 2.0**-j is a normal double for
-    # |j| <= 1022, and an edge below 2**reach in magnitude is then at most 2**(1022 - reach) lengths 2**-j
+    # |j| <= G = MAX_GENERATION, and an edge below 2**reach in magnitude is then at most 2**(G - reach)
+    # lengths 2**-j
     root = f.mesh.root
     reach = max(0, math.ceil(math.log2(max(abs(root.left), abs(root.right)))))
-    room = min(1022 + root.j, 1022 - reach - root.j - f.mesh.depth)
+    room = min(MAX_GENERATION + root.j, MAX_GENERATION - reach - root.j - f.mesh.depth)
     if ref_margin > room:
         raise ConfigError(f"margins must be at most {room - 2} on this mesh (the grid scales leave the doubles)")
     exact = hilbert_exact(StepFunction(f.mesh, f.values - f.values.mean()))

@@ -20,14 +20,14 @@ import numpy as np
 
 from .errors import OutOfWindowError
 
-MAX_GENERATION = 1022  # a grid file's window: every 2^-j with |j| <= 1022 is a normal double
+MAX_GENERATION = 1022  # a grid's window: every 2^-j with |j| <= 1022 is a normal double
 
 
 @dataclass(frozen=True)
 class GridParameters:
     """A truncated random dyadic grid D^{r,beta}.
 
-    beta holds the shift bits for generations j_min..j_max in order.
+    beta holds the shift bits for generations j_min..j_max in order, |j| <= MAX_GENERATION.
     """
 
     r: float
@@ -38,34 +38,26 @@ class GridParameters:
     def __post_init__(self):
         if not 1.0 <= self.r < 2.0:
             raise ValueError(f"scaling parameter r={self.r} not in [1,2)")
-        if self.j_min >= self.j_max:
-            raise ValueError("need j_min < j_max")
+        if not -MAX_GENERATION <= self.j_min < self.j_max <= MAX_GENERATION:
+            raise ValueError(f"window [{self.j_min},{self.j_max}]: need j_min < j_max and |j| <= {MAX_GENERATION}")
         if len(self.beta) != self.j_max - self.j_min + 1:
             raise ValueError("beta must carry one bit per generation in the window")
         if any(b not in (0, 1) for b in self.beta):
             raise ValueError("beta bits must be 0 or 1")
-        # Unscaled shift numerators n_j with x_j = n_j / 2^{j_max}, built from
-        # the suffix sums n_{j-1} = n_j + beta_j * 2^{j_max - j}.
-        nums = {self.j_max: 0}
-        for j in range(self.j_max, self.j_min - 1, -1):
-            nums[j - 1] = nums[j] + self.bit(j) * (1 << (self.j_max - j))
-        object.__setattr__(self, "_shift_nums", nums)
+        # beta read as one binary number whose last digit is beta_{j_max}
+        object.__setattr__(self, "_bits", int("".join("1" if b else "0" for b in self.beta), 2))
 
     # -- bits and shifts -------------------------------------------------
 
     def bit(self, j: int) -> int:
-        if not self.j_min <= j <= self.j_max:
-            raise OutOfWindowError(f"generation {j} outside window [{self.j_min},{self.j_max}]")
+        self.check_generation(j)
         return self.beta[j - self.j_min]
 
     def shift_numerator(self, j: int) -> int:
-        """Numerator of x_j over 2^{j_max}; defined for j_min-1 <= j <= j_max."""
-        try:
-            return self._shift_nums[j]
-        except KeyError:
-            raise OutOfWindowError(
-                f"shift x_{j} not defined in window [{self.j_min},{self.j_max}]"
-            ) from None
+        """Numerator of x_j over 2^{j_max}, the last j_max - j binary digits of beta (j_min-1 <= j <= j_max)."""
+        if not self.j_min - 1 <= j <= self.j_max:
+            raise OutOfWindowError(f"shift x_{j} not defined in window [{self.j_min},{self.j_max}]")
+        return self._bits & ((1 << (self.j_max - j)) - 1)
 
     def shift(self, j: int) -> Fraction:
         return self._unscaled(self.shift_numerator(j))
@@ -108,18 +100,15 @@ class GridParameters:
 
     @classmethod
     def from_json(cls, text: str) -> "GridParameters":
-        """Read a grid file: exactly the keys r (a number), j_min and j_max (integers
-        with |j| <= MAX_GENERATION, which also bounds the exact shift numerators,
-        quadratic in the width) and beta (a 0/1 string)."""
+        """Read a grid file: exactly the keys r (a number), j_min and j_max (integers) and beta (a 0/1 string)."""
         d = json.loads(text)
         if not isinstance(d, dict) or set(d) != {"r", "j_min", "j_max", "beta"}:
             raise ValueError("grid file needs an object with exactly the keys r, j_min, j_max and beta")
         r, j_min, j_max, beta = d["r"], d["j_min"], d["j_max"], d["beta"]
         if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise ValueError(f"grid r must be a number, got {r!r}")
-        for j in (j_min, j_max):
-            if isinstance(j, bool) or not isinstance(j, int) or abs(j) > MAX_GENERATION:
-                raise ValueError(f"grid j_min and j_max must be integers in [-{MAX_GENERATION}, {MAX_GENERATION}], got {j!r}")
+        if type(j_min) is not int or type(j_max) is not int:
+            raise ValueError(f"grid j_min and j_max must be integers, got {j_min!r} and {j_max!r}")
         if not isinstance(beta, str):  # int() and the bit check reject any character but 0 and 1
             raise ValueError("grid beta must be a string of 0/1 bits")
         return cls(float(r), j_min, j_max, tuple(int(c) for c in beta))
@@ -153,7 +142,7 @@ class DyadicInterval:
 
     @property
     def length(self) -> float:
-        return self.grid.r * 2.0 ** (-self.j)
+        return self.grid.generation_length(self.j)
 
     def endpoints(self) -> tuple[float, float]:
         return (self.left, self.right)
@@ -202,12 +191,7 @@ def third_grid(i: int, j_min: int, j_max: int) -> GridParameters:
     """
     if i not in (0, 1, 2):
         raise ValueError("third_grid index must be 0, 1 or 2")
-    if i == 0:
-        beta = (0,) * (j_max - j_min + 1)
-    elif i == 1:
-        beta = tuple(1 if j % 2 == 0 else 0 for j in range(j_min, j_max + 1))
-    else:
-        beta = tuple(1 if j % 2 != 0 else 0 for j in range(j_min, j_max + 1))
+    beta = tuple(int(i > 0 and j % 2 == i - 1) for j in range(j_min, j_max + 1))
     return GridParameters(1.0, j_min, j_max, beta)
 
 

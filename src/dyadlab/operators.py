@@ -10,11 +10,13 @@ exact on the mean-zero subspace of the truncated system.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, SingularPointError
+from .grid import sample_random_grid
 from .signal import (
     HaarSpectrum,
     Mesh,
@@ -323,8 +325,8 @@ def average_shifts(f: StepFunction, n_samples: int, seed: int, margins) -> dict:
     over sampled grids: with probability-normalized scale sampling (density
     1/(r ln 2) on [1,2)) the expected shift kernel is (x-y)^{-1}/(8 ln 2), so
     the average converges to H of the zero-extended mean-zero part (constants
-    map to zero for every sample).  Grids are drawn from the stream
-    (seed, sample_index) on the canonical window of margin
+    map to zero for every sample).  Grids are drawn by `sample_random_grid`
+    from the stream (seed, sample_index) on the canonical window of margin
     cap = max(margin, CANONICAL_MARGIN_CAP), and a margin selects the
     generations [j_root - margin, j_cell + margin] entering the sum, so
     widening the window adds terms on the same sampled grids.  Margins that
@@ -348,12 +350,10 @@ def average_shifts(f: StepFunction, n_samples: int, seed: int, margins) -> dict:
         scales = 2.0 ** -np.arange(jc_hi, jc_lo, -1)
         acc = np.zeros((len(group), mesh.n_cells))
         for idx in range(n_samples):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-            bits = rng.integers(0, 2, size=jc_hi - jc_lo + 1)
-            r = float(2.0 ** rng.random())
+            grid = sample_random_grid(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)), jc_lo, jc_hi)
             # x_j = sum_{i>j} beta_i 2^-i, summed from the finest generation up
-            shifts = np.cumsum(np.r_[0.0, bits[:0:-1] * scales])
-            acc += transform(r, shifts[jc_hi - transform.gens])
+            shifts = np.cumsum(np.r_[0.0, np.array(grid.beta[:0:-1]) * scales])
+            acc += transform(grid.r, shifts[jc_hi - transform.gens])
         for margin, values in zip(group, acc):
             out[margin] = StepFunction(mesh, (HILBERT_RECONSTRUCTION_FACTOR / n_samples) * values)
     return out
@@ -622,6 +622,14 @@ def square_norm_weighted(w: StepFunction, iters: int = 10 ** 4, tol: float = 1e-
     return operator_norm_two_weight(op, w, StepFunction(mesh, np.ones(mesh.n_cells)), iters, tol, seed)
 
 
+def shift_complexity(name: str) -> tuple[int, int] | None:
+    """(m, n) of the operator handle `shift(m,n)`; None for a handle of another family."""
+    parsed = re.fullmatch(r"shift\( *([0-9]+) *, *([0-9]+) *\)", name)
+    if parsed is None and name.startswith("shift("):
+        raise ValueError(f"operator {name!r}: a shift handle is shift(m,n) with integers m, n >= 0")
+    return None if parsed is None else (int(parsed[1]), int(parsed[2]))
+
+
 def named_operator(
     name: str,
     mesh: Mesh,
@@ -650,9 +658,8 @@ def named_operator(
         )
     elif name in ("sha", "commutator_sha"):
         coeffs = ShiftCoefficients.petermichl(mesh)
-    elif name.startswith("shift(") and name.endswith(")"):
-        m, n = (int(t) for t in name[6:-1].split(","))
-        coeffs = ShiftCoefficients.random(mesh, m, n, np.random.default_rng(0))
+    elif (complexity := shift_complexity(name)) is not None:
+        coeffs = ShiftCoefficients.random(mesh, *complexity, np.random.default_rng(0))
     else:
         raise ValueError(f"unknown operator name {name!r}")
     transposed = coeffs.transpose()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,38 +110,35 @@ class StepFunction:
             for i, v in enumerate(self.values):
                 w.writerow([i, repr(float(v))])
         if meta_path is not None:
-            meta = {
-                "root_left": self.mesh.root.left,
-                "root_right": self.mesh.root.right,
-                "depth": self.mesh.depth,
-            }
+            root = self.mesh.root
             with open(meta_path, "w") as fh:
-                json.dump(meta, fh)
+                json.dump({"root_left": root.left, "root_right": root.right, "depth": self.mesh.depth}, fh)
 
     @classmethod
     def from_csv(cls, path, meta_path, grid: GridParameters | None = None) -> "StepFunction":
-        """Load a signal; the root is located on `grid` (default: the standard
-        grid), using the side file's root_left and length."""
+        """Load a signal; the root is located on `grid` (default: the standard grid), using the side
+        file's root_left and length.  The side file holds exactly root_left < root_right, finite
+        numbers a finite length apart, and depth, an integer in 1..MAX_DEPTH."""
         with open(meta_path) as fh:
             meta = json.load(fh)
-        try:
-            left, right, depth = float(meta["root_left"]), float(meta["root_right"]), int(meta["depth"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"signal side file needs numeric root_left, root_right and depth: {exc!r}") from None
-        if not 1 <= depth <= MAX_DEPTH:
-            raise ValueError(f"signal depth must be between 1 and {MAX_DEPTH} (memory guard)")
-        length = right - left
+        if not isinstance(meta, dict) or set(meta) != {"root_left", "root_right", "depth"}:
+            raise ValueError("signal side file needs an object with exactly the keys root_left, root_right and depth")
+        left, right, depth = meta["root_left"], meta["root_right"], meta["depth"]
+        if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in (left, right)):
+            raise ValueError(f"signal root_left and root_right must be finite numbers, got {left!r} and {right!r}")
+        length = float(right) - float(left)
+        if not 0.0 < length < math.inf:
+            raise ValueError("signal root needs root_left < root_right, a finite length apart")
+        if type(depth) is not int or not 1 <= depth <= MAX_DEPTH:
+            raise ValueError(f"signal depth must be an integer between 1 and {MAX_DEPTH} (memory guard)")
         if grid is None:
-            j_root = round(-math.log2(length))
-            if abs(2.0 ** -j_root - length) > 1e-12 * length:
-                raise ValueError("root must be a standard dyadic interval")
-            grid = standard_grid(min(j_root, 0) - 1, max(j_root + depth, 0) + 1)
-        else:
-            j_root = round(math.log2(grid.r / length))
-            if abs(grid.generation_length(j_root) - length) > 1e-12 * length:
-                raise ValueError("root length does not match a grid generation")
-            if not (grid.j_min <= j_root and j_root + depth <= grid.j_max):
-                raise ValueError(f"generations {j_root}..{j_root + depth} outside window [{grid.j_min},{grid.j_max}]")
+            j = round(-math.log2(length))
+            grid = standard_grid(min(j, 0) - 1, max(j + depth, 0) + 1)
+        j_root = round(math.log2(grid.r) - math.log2(length))
+        if abs(grid.generation_length(j_root) - length) > 1e-12 * length:
+            raise ValueError("root length does not match a grid generation")
+        if not (grid.j_min <= j_root and j_root + depth <= grid.j_max):
+            raise ValueError(f"generations {j_root}..{j_root + depth} outside window [{grid.j_min},{grid.j_max}]")
         root = grid.locate(left + 0.25 * length, j_root)
         if abs(root.left - left) > 1e-9 * max(1.0, abs(left)):
             raise ValueError("root_left is not a grid interval endpoint")

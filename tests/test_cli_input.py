@@ -186,6 +186,65 @@ def test_signal_side_file_without_depth_is_a_config_error(tmp_path, capsys):
     assert_config_error(capsys, ["haar", *files])
 
 
+SIDE_FILES = {
+    "infinite-left": '{"root_left": -Infinity, "root_right": 1.0, "depth": 2}',
+    "nan-right": '{"root_left": 0.0, "root_right": NaN, "depth": 2}',
+    "boolean-depth": '{"root_left": 0.0, "root_right": 1.0, "depth": true}',
+    "fractional-depth": '{"root_left": 0.0, "root_right": 1.0, "depth": 1.5}',
+    "string-left": '{"root_left": "0", "root_right": 1.0, "depth": 2}',
+    "boolean-right": '{"root_left": 0, "root_right": true, "depth": 2}',
+    "subnormal-root": '{"root_left": 0.0, "root_right": 5e-324, "depth": 2}',
+    "root-of-length-2^1023": '{"root_left": 0.0, "root_right": 8.98846567431158e307, "depth": 2}',
+    "huge-integer-right": '{"root_left": 0, "root_right": 1' + "0" * 400 + ', "depth": 2}',
+    "length-overflows": '{"root_left": -1.5e308, "root_right": 1.5e308, "depth": 2}',
+    "reversed-root": '{"root_left": 1.0, "root_right": 0.0, "depth": 2}',
+    "unknown-key": '{"root_left": 0.0, "root_right": 1.0, "depth": 2, "span": 1}',
+    "not-an-object": '[0.0, 1.0, 2]',
+    "non-dyadic-root": '{"root_left": 0.0, "root_right": 0.75, "depth": 2}',
+}
+
+
+@pytest.mark.parametrize("text", SIDE_FILES.values(), ids=SIDE_FILES.keys())
+def test_malformed_signal_side_file_is_a_config_error(tmp_path, capsys, text):
+    # once: -Infinity exited 3 ("cannot convert float infinity to integer"); depth true or 1.5 loaded as
+    # depth 1, root_left "0" loaded, and the subnormal root and the root of length 2^1023 ran to exit 0
+    # on grid windows reaching generations 1074 and -1024, where 2^-j is no normal double
+    files = write_signal(tmp_path, 2, [(0, "1.0")])
+    (tmp_path / "sig.json").write_text(text)
+    assert_config_error(capsys, ["haar", *files])
+
+
+def test_non_dyadic_root_gets_the_grid_generation_message(tmp_path, capsys):
+    # without --grid the root is looked up on the standard grid, by the path a given grid takes
+    files = write_signal(tmp_path, 2, [(0, "1.0")])
+    (tmp_path / "sig.json").write_text(SIDE_FILES["non-dyadic-root"])
+    assert main(["haar", *files]) == 2
+    assert strict_loads(capsys.readouterr().err)["message"] == "root length does not match a grid generation"
+
+
+@pytest.mark.parametrize(
+    "operator", ["shift(0,3)", "shift(3,0)", "shift(4,1)", "shift(1)", "shift(a,b)", "shift(1,2,3)", "shift(-1,1)"]
+)
+def test_zero_or_unparsable_shift_sweep_is_a_config_error(capsys, operator):
+    # at depth 3, shift(0,3) and shift(3,0) have no coefficient: every norm was 0 and the slope fit took
+    # log 0, warning on stderr before exit 3; shift(1) failed with "not enough values to unpack"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_config_error(capsys, ["norms", "--depth", "3", "--alphas", "0.3,0.6", "--operator", operator,
+                                     "--seed", "0"])
+
+
+def test_unparsable_shift_message_states_the_grammar(capsys):
+    assert main(["norms", "--depth", "3", "--operator", "shift(1)", "--seed", "0"]) == 2
+    assert "shift(m,n)" in strict_loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("operator", ["shift(0,2)", "shift(2,0)", "shift(1, 2)"])
+def test_shift_sweep_below_the_depth_runs(capsys, operator):
+    assert main(["norms", "--depth", "3", "--alphas", "0.3,0.6", "--operator", operator, "--seed", "0"]) == 0
+    assert isinstance(strict_loads(capsys.readouterr().out)["slope"], float)  # strict JSON: a finite slope
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -281,6 +340,7 @@ SIGNALS = {
     "too-deep": ("cell_index,value\n0,1.0\n", {"root_left": 0.0, "root_right": 1.0, "depth": 40}),
     "meta-not-an-object": ("cell_index,value\n0,1.0\n", [0.0, 1.0, 3]),
     "empty-root": ("cell_index,value\n0,1.0\n", {"root_left": 1.0, "root_right": 1.0, "depth": 3}),
+    **{f"side-{name}": ("cell_index,value\n0,1.0\n", text) for name, text in SIDE_FILES.items()},
 }
 CLOUDS = {
     "points": "id,x,y\n0,0.1,0.2\n1,0.7,0.4\n2,0.5,0.9\n3,0.3,0.6\n",
@@ -301,7 +361,7 @@ def input_files(tmp_path_factory):
     signals = {}
     for name, (rows, meta) in SIGNALS.items():
         (root / f"{name}.csv").write_text(rows)
-        (root / f"{name}.json").write_text(json.dumps(meta))
+        (root / f"{name}.json").write_text(meta if isinstance(meta, str) else json.dumps(meta))
         signals[name] = ["--signal", str(root / f"{name}.csv"), "--signal-meta", str(root / f"{name}.json")]
     signals["missing-file"] = ["--signal", str(root / "absent.csv"), "--signal-meta", str(root / "absent.json")]
     clouds = {}
@@ -325,7 +385,8 @@ FUZZ_FLAGS = st.tuples(
     flag("--samples", st.integers(-1, 3)),
     flag("--seed", st.integers(-2, 2 ** 40)),
     flag("--operator", st.sampled_from(["martingale", "sha", "square", "shift(1,2)", "shift(9,9)", "sparse",
-                                        "paraproduct", "commutator_sha", "maximal", "nope", "shift(1)"])),
+                                        "paraproduct", "commutator_sha", "maximal", "nope", "shift(1)",
+                                        "shift(0,3)"])),
     flag("--alphas", NUMBERS),
     flag("--margins", NUMBERS),
     flag("--delta", st.sampled_from(["0.5", "0.9", "0", "-1", "2", "nan"])),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dyadlab.errors import OutOfWindowError
 from dyadlab.grid import (
+    MAX_GENERATION,
     GridParameters,
     covering_interval,
     sample_random_grid,
@@ -48,6 +49,47 @@ def test_shifted_grid_endpoint_from_shift_sum():
     for j in range(-13, -4):
         assert g.shift(j) == shift_sum_oracle(g, j)
     assert g.interval(-5, 7).unscaled_left() == 7 * 32 + g.shift(-5)
+
+
+def suffix_sum_numerators(grid: GridParameters) -> dict[int, int]:
+    """n_j with x_j = n_j / 2^{j_max} for j_min-1 <= j <= j_max, from the
+    recurrence n_{j-1} = n_j + beta_j 2^{j_max - j} down from n_{j_max} = 0."""
+    nums = {grid.j_max: 0}
+    for j in range(grid.j_max, grid.j_min - 1, -1):
+        nums[j - 1] = nums[j] + grid.beta[j - grid.j_min] * (1 << (grid.j_max - j))
+    return nums
+
+
+@pytest.mark.parametrize(
+    "j_min, j_max",
+    [(-12, -5), (3, 17), (-1, 0), (4, 5), (-3, 40), (-MAX_GENERATION, MAX_GENERATION)],
+    ids=["below-0", "above-0", "width-1-at-0", "width-1", "straddling-0", "widest"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shift_numerators_match_the_suffix_sum_recurrence(seed, j_min, j_max):
+    g = sample_random_grid(seed, j_min, j_max)
+    for j, n in suffix_sum_numerators(g).items():
+        assert g.shift_numerator(j) == n, j
+    for j in (j_min - 2, j_max + 1):
+        with pytest.raises(OutOfWindowError):
+            g.shift_numerator(j)
+
+
+@pytest.mark.parametrize(
+    "j_min, j_max",
+    [(-MAX_GENERATION - 1, 0), (0, MAX_GENERATION + 1), (-2000, 2), (5, 5), (6, 5)],
+    ids=["below", "above", "far-below", "empty", "reversed"],
+)
+def test_window_outside_the_normal_doubles_or_empty_is_rejected(j_min, j_max):
+    width = max(j_max - j_min + 1, 0)
+    for build in (
+        lambda: GridParameters(1.0, j_min, j_max, (0,) * width),
+        lambda: standard_grid(j_min, j_max),
+        lambda: third_grid(1, j_min, j_max),
+        lambda: sample_random_grid(0, j_min, j_max),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_generation_out_of_window():

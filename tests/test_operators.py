@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dyadlab.errors import ResolutionError, SingularPointError
-from dyadlab.grid import standard_grid, third_grid
+from dyadlab.grid import sample_random_grid, standard_grid, third_grid
 from dyadlab.operators import (
     LinearOperator,
     ShiftCoefficients,
@@ -574,16 +574,32 @@ def reference_window_transforms(f, r, shifts, windows):
     return np.diff(p_edges, axis=1) / mesh.cell_length
 
 
-def sampled_grid(seed, idx, jc_lo, jc_hi):
-    """The grid (r, shifts) that `average_shifts` draws for sample `idx`."""
+def sampled_draw(seed, idx, jc_lo, jc_hi):
+    """The scale r and the bits beta_j, j = jc_lo..jc_hi, that `average_shifts`
+    draws for sample `idx`, drawn here from the stream itself."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
     bits = rng.integers(0, 2, size=jc_hi - jc_lo + 1)
-    r = float(2.0 ** rng.random())
+    return float(2.0 ** rng.random()), bits
+
+
+def sampled_grid(seed, idx, jc_lo, jc_hi):
+    """The grid (r, shifts) that `average_shifts` draws for sample `idx`."""
+    r, bits = sampled_draw(seed, idx, jc_lo, jc_hi)
     shifts, shift = {}, 0.0
     for j in range(jc_hi, jc_lo - 1, -1):
         shifts[j] = shift
         shift += float(bits[j - jc_lo]) * 2.0 ** -j
     return r, shifts
+
+
+@pytest.mark.parametrize(
+    "seed, idx, jc_lo, jc_hi", [(0, 0, -8, 16), (9, 2, -108, 106), (17, 5, -20, -3), (2 ** 40, 1, 4, 5)]
+)
+def test_sample_random_grid_is_the_averaging_draw(seed, idx, jc_lo, jc_hi):
+    grid = sample_random_grid(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)), jc_lo, jc_hi)
+    r, bits = sampled_draw(seed, idx, jc_lo, jc_hi)
+    assert grid.r == r
+    assert grid.beta == tuple(int(b) for b in bits)
 
 
 def average_shift_per_margin_oracle(f, n_samples, seed, margin):

@@ -1,7 +1,9 @@
 """Committed reference reports, rerun: each file in tests/reference/ holds a
 report and the config that made it, and the rerun must reproduce its rows and
-its family, exactly but for the float tolerances in FLOAT_RTOL.
-`tests/reference/regenerate.py` rewrites the files."""
+its family, exactly but for the float tolerances in FLOAT_RTOL, and its mesh
+depth and grid window.  `tests/reference/regenerate.py` rewrites the files,
+and the input files in `tests/reference/inputs/` that some configs name,
+relative to the repository root."""
 
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import pytest
 
 from dyadlab.experiments import ExperimentConfig, run
 
-HERE = Path(__file__).resolve().parent / "reference"
+REPO = Path(__file__).resolve().parents[1]
+HERE = REPO / "tests" / "reference"
 REFERENCES = sorted(HERE.glob("*.json"))
 # relative tolerance on float fields, by experiment (default: exact); the
 # average-hilbert correlation is np.corrcoef, whose products go through BLAS.
@@ -39,20 +42,35 @@ def matches(got, want, rtol):
     return got == want
 
 
-def test_every_regenerated_reference_is_committed():
+def load_regenerate():
     spec = importlib.util.spec_from_file_location("regenerate", HERE / "regenerate.py")
     regenerate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regenerate)
+    return regenerate
+
+
+def test_every_regenerated_reference_is_committed():
+    regenerate = load_regenerate()
     assert [p.stem for p in REFERENCES] == sorted(regenerate.REFERENCES)
     for path in REFERENCES:
         config = asdict(ExperimentConfig(**regenerate.REFERENCES[path.stem]))
         assert json.loads(path.read_text())["config"] == json.loads(json.dumps(config))
 
 
+def test_committed_inputs_are_regenerated(tmp_path):
+    load_regenerate().write_inputs(tmp_path)
+    committed = sorted((HERE / "inputs").iterdir())
+    assert [p.name for p in committed] == sorted(p.name for p in tmp_path.iterdir())
+    for path in committed:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 @pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.stem)
-def test_reference_report_reproduces(path):
+def test_reference_report_reproduces(monkeypatch, path):
+    monkeypatch.chdir(REPO)  # input paths in a config are relative to the repository root
     want = json.loads(path.read_text())
     got = json.loads(json.dumps(run(ExperimentConfig(**want["config"]))))
     rtol = FLOAT_RTOL.get(want["experiment"], 0.0)
     assert matches(got["rows"], want["rows"], rtol), (got["rows"], want["rows"])
     assert matches(got.get("family"), want.get("family"), rtol)
+    assert (got["mesh_depth"], got["grid_window"]) == (want["mesh_depth"], want["grid_window"])
