@@ -395,7 +395,7 @@ def run_bellman(cfg: ExperimentConfig) -> dict:
 
 
 def run_sht(cfg: ExperimentConfig) -> dict:
-    from .sht import QuasiMetricCloud, build_cube_system, build_sht_haar, gram_matrix
+    from .sht import QuasiMetricCloud, build_cube_system, build_sht_haar, gram_error
 
     if not cfg.cloud:
         raise ConfigError("sht experiment needs a cloud CSV path")
@@ -403,16 +403,13 @@ def run_sht(cfg: ExperimentConfig) -> dict:
     system = build_cube_system(cloud, cfg.delta)
     verification = system.verify()
     basis = build_sht_haar(system)
-    gram_err = float(
-        np.max(np.abs(gram_matrix(basis) - np.eye(basis.coefficient_count())))
-    ) if basis.coefficient_count() else 0.0
     rows = [
         {"quantity": "n_points", "value": cloud.n},
         {"quantity": "levels", "value": system.n_levels},
         {"quantity": "basis_size", "value": basis.coefficient_count()},
         {"quantity": "top_cubes", "value": basis.top_cubes},
         {"quantity": "dimension_identity", "value": basis.coefficient_count() + basis.top_cubes == cloud.n},
-        {"quantity": "gram_error", "value": gram_err},
+        {"quantity": "gram_error", "value": gram_error(basis)},
     ] + [{"quantity": k, "value": v} for k, v in verification.items()]
     return {"rows": rows}
 

@@ -12,11 +12,24 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateWeightError
+
+# the most elements one block of a cube-system or Gram pass holds: the 2^20 of
+# operators' block caps, kept apart so that sht imports none of the signal
+# modules and its tests can shrink it alone
+BLOCK_ELEMENTS = 1 << 20
+# a block of Gram rows is one array product, not a sum over its pairs of
+# nonzero Haar values at a common point, once those pairs reach
+# 1/DENSE_GRAM_RATIO of its rows x points x columns.  On one BLAS thread the
+# two cost the same near 1/450 (1022 functions, 2-vCPU Xeon); the sums need
+# no BLAS, so they are kept until they cost about twice the product.
+DENSE_GRAM_RATIO = 256
+MAX_CLOUD_POINTS = 4096  # the largest cloud a file may hold: `sht` keeps n x n distances and Haar values
 
 
 @dataclass
@@ -48,14 +61,18 @@ class QuasiMetricCloud:
         return self.dist.shape[0]
 
     def validate(self) -> dict:
-        """Exhaustive checks of the quasi-metric axioms (n <= 512 is cheap)."""
+        """Exhaustive checks of the quasi-metric axioms, as one min-plus pass.
+
+        The quasi-triangle constant is the largest d_ij / (d_iz + d_zj) over
+        i != j and every z, which is d_ij over the min-plus square
+        min_z (d_iz + d_zj): correctly rounded division is monotone in the
+        divisor, so the two agree bit for bit."""
         d = self.dist
-        worst = 1.0
+        through, step = np.full_like(d, np.inf), np.empty_like(d)
         for z in range(self.n):
-            through = d[:, z][:, None] + d[z, :][None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(through > 0, d / through, 0.0)
-            worst = max(worst, float(np.max(ratio)))
+            np.minimum(through, np.add(d[:, z, None], d[z], out=step), out=through)
+        np.fill_diagonal(through, np.inf)  # d_ii = 0 over inf: the diagonal does not count
+        worst = max(1.0, float(np.max(np.divide(d, through, out=step))))
         return {"quasi_triangle_constant": worst, "A0_ok": worst <= self.A0 * (1 + 1e-12)}
 
     @classmethod
@@ -70,37 +87,64 @@ class QuasiMetricCloud:
     def from_csv(cls, path) -> "QuasiMetricCloud":
         """Load `id,x,y[,mass]` rows (Euclidean) or `id_i,id_j,distance` edges."""
         with open(path) as fh:
-            rows = list(csv.reader(fh))
-        header = [h.strip().lower() for h in rows[0]] if rows else []
-        body = rows[1:]
-        if header[:3] not in (["id", "x", "y"], ["id_i", "id_j", "distance"]):
-            raise ValueError("unrecognized cloud CSV header")
-        width = 3 if header[0] == "id_i" else min(len(header), 4)
+            reader = csv.reader(fh)
+            header = [h.strip().lower() for h in next(reader, [])]
+            if header[:3] not in (["id", "x", "y"], ["id_i", "id_j", "distance"]):
+                raise ValueError("unrecognized cloud CSV header")
+            if header[0] == "id_i":
+                cloud = cls(_edge_distances(reader), None, A0=1.0)
+                cloud.A0 = cloud.validate()["quasi_triangle_constant"]
+                return cloud
+            body = list(reader)
+        width = min(len(header), 4)
         if not body or any(len(r) < width for r in body):
             raise ValueError(f"a cloud CSV needs data rows of {width} fields under its header")
-        if header[:3] == ["id", "x", "y"]:
-            order = np.argsort([int(r[0]) for r in body])
-            xy = np.array([[float(body[i][1]), float(body[i][2])] for i in order])
-            mass = (
-                np.array([float(body[i][3]) for i in order])
-                if len(header) > 3
-                else None
-            )
-            return cls.from_points(xy, mass)
-        ids = sorted({int(r[0]) for r in body} | {int(r[1]) for r in body})
-        index = {pid: k for k, pid in enumerate(ids)}
-        n = len(ids)
-        dist = np.zeros((n, n))  # a pair left out stays at 0, which the constructor rejects
-        given = np.zeros((n, n), dtype=bool)
-        for r in body:
-            i, j, dv = index[int(r[0])], index[int(r[1])], float(r[2])
-            if given[i, j] and dist[i, j] != dv:
-                raise ValueError(f"cloud CSV gives the pair {r[0]},{r[1]} two different distances")
-            given[i, j] = given[j, i] = True
-            dist[i, j] = dist[j, i] = dv
-        cloud = cls(dist, np.ones(n), A0=1.0)
-        cloud.A0 = cloud.validate()["quasi_triangle_constant"]
-        return cloud
+        _check_cloud_size(len(body))
+        order = np.argsort([int(r[0]) for r in body])
+        xy = np.array([[float(body[i][1]), float(body[i][2])] for i in order])
+        mass = (
+            np.array([float(body[i][3]) for i in order])
+            if len(header) > 3
+            else None
+        )
+        return cls.from_points(xy, mass)
+
+
+def _edge_distances(reader) -> np.ndarray:
+    """The distance matrix of `id_i,id_j,distance` rows, points in increasing
+    id order.  The rows are read into packed arrays, not one Python list a
+    row: per row the places of its two ids in order of first appearance, and
+    its distance."""
+    index, ends, given = {}, array("q"), array("d")
+    for r in reader:
+        if len(r) < 3:
+            given = None  # a short row
+            break
+        ends.append(index.setdefault(int(r[0]), len(index)))
+        ends.append(index.setdefault(int(r[1]), len(index)))
+        given.append(float(r[2]))
+    if not given:
+        raise ValueError("a cloud CSV needs data rows of 3 fields under its header")
+    ids, n = list(index), len(index)
+    _check_cloud_size(n)
+    ends, given = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), np.frombuffer(given)
+    rank = np.empty(n, dtype=int)  # first-appearance place -> place among the sorted ids
+    rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    i, j = np.sort(rank[ends], axis=1).T
+    dist = np.zeros((n, n))  # a pair left out stays at 0, which the constructor rejects
+    dist[i, j] = given
+    kept = dist[i, j]  # the last distance given for each pair
+    clash = np.flatnonzero((kept != given) & ~(np.isnan(kept) & np.isnan(given)))
+    if clash.size:
+        a, b = (ids[k] for k in ends[clash[0]])
+        raise ValueError(f"cloud CSV gives the pair {a},{b} two different distances")
+    dist[j, i] = given
+    return dist
+
+
+def _check_cloud_size(n: int) -> None:
+    if n > MAX_CLOUD_POINTS:
+        raise ValueError(f"a cloud CSV may hold at most {MAX_CLOUD_POINTS} points (memory guard), not {n}")
 
 
 def lattice_cloud(n_points: int, metric: str = "euclidean") -> QuasiMetricCloud:
@@ -182,21 +226,30 @@ class CubeSystem:
     def verify(self) -> dict:
         """Partition, nestedness, and measured inner/outer ball constants.
 
-        Each level is one masked reduction over its (center x point) block of
-        the distance matrix: own[c, p] says whether point p lies in cube c.
+        Point p lies in cube a[p] and in no other, so the outer constant
+        reads the n distances dist[cs[a[p]], p], and the inner one the rows
+        dist[cs] with those n entries set to inf, BLOCK_ELEMENTS at a time.
         """
         report = {"partition_ok": True, "nested_ok": True}
         inner, outer = math.inf, 0.0
+        dist = self.cloud.dist
+        rows = max(1, BLOCK_ELEMENTS // self.cloud.n)
         for level, (cs, a) in enumerate(zip(self.centers, self.assignment)):
             k = len(cs)
-            if not (np.all((a >= 0) & (a < k)) and np.all(np.bincount(a, minlength=k))):
+            inside = (a >= 0) & (a < k)
+            if not (np.all(inside) and np.all(np.bincount(a, minlength=k))):
                 report["partition_ok"] = False  # an index out of range, or an empty cube
             if level and not np.array_equal(self.parent[level][a], self.assignment[level - 1]):
                 report["nested_ok"] = False
-            d, own = self.cloud.dist[cs], a == np.arange(k)[:, None]
+            pts = np.flatnonzero(inside)
+            own = a[pts]
             scale = self.delta ** level
-            outer = max(outer, float(np.max(d, where=own, initial=0.0)) / scale)
-            inner = min(inner, float(np.min(d, where=~own, initial=math.inf)) / scale)
+            outer = max(outer, float(np.max(dist[cs[own], pts], initial=0.0)) / scale)
+            for lo in range(0, k, rows):
+                block = dist[cs[lo:lo + rows]]
+                mine = (own >= lo) & (own < lo + rows)
+                block[own[mine] - lo, pts[mine]] = np.inf
+                inner = min(inner, float(np.min(block, initial=math.inf)) / scale)
         a0 = self.cloud.A0
         report["outer_ball_constant"] = outer
         report["inner_ball_constant"] = inner if inner < math.inf else 1.0
@@ -205,27 +258,59 @@ class CubeSystem:
         return report
 
 
+def _chunks(sizes: np.ndarray):
+    """Consecutive ranges lo:hi of items whose sizes sum to at most
+    BLOCK_ELEMENTS, or of one item."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < sizes.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + BLOCK_ELEMENTS, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _grouped(labels: np.ndarray, k: int):
+    """(order, start): the indices sorted by label, ascending within a label,
+    so label g holds order[start[g]:start[g + 1]]."""
+    start = np.zeros(k + 1, dtype=int)
+    np.cumsum(np.bincount(labels, minlength=k), out=start[1:])
+    return np.argsort(labels, kind="stable"), start
+
+
 def assign_cubes(nets, cloud: QuasiMetricCloud, delta: float) -> CubeSystem:
     """Hierarchically constrained nearest-center assignment, one pass per level.
 
-    At the top level every point takes its nearest center.  Below, a point
-    chooses among the centers whose own cube at the previous level equals the
-    point's cube (the others are masked to inf), which makes each generation a
-    partition refining the previous one.  argmin takes the first minimum, so
-    ties go to the smallest center index.
+    The nets must be nested, as `build_nets` makes them, so that every cube
+    keeps its own center one level down.  Above level 0 one cube holds the
+    whole cloud.  A point whose cube has a single child goes to that child;
+    the points of a splitting cube choose the nearest among its children
+    only, which makes each generation a partition refining the previous one.
+    They choose by one segmented argmin over their (point, child) distances,
+    BLOCK_ELEMENTS pairs at a time, the children of each point in increasing
+    center index, so ties go to the smallest.
     """
     centers = [np.asarray(c) for c in nets]
-    # the (center x point) rows dist[cs] are contiguous copies; symmetry makes them dist[:, cs].T
-    assignment = [np.argmin(cloud.dist[centers[0]], axis=0)]
-    parents = [np.array([], dtype=int)]
-    for cs in centers[1:]:
-        up = assignment[-1]
+    up, cubes = np.zeros(cloud.n, dtype=int), 1
+    assignment, parents = [], []
+    for cs in centers:
         parent_of_center = up[cs]
-        d = cloud.dist[cs]
-        d[parent_of_center[:, None] != up] = np.inf
-        assignment.append(np.argmin(d, axis=0))
+        kids, start = _grouped(parent_of_center, cubes)
+        count = np.diff(start)
+        a = kids[start[up]]  # each point's first child: its cube when that is the only one
+        choose = np.flatnonzero(count[up] > 1)
+        reps = count[up[choose]]
+        for lo, hi in _chunks(reps):
+            p, r = choose[lo:hi], reps[lo:hi]
+            seg = np.cumsum(r) - r  # each point's first pair
+            c = kids[np.repeat(start[up[p]] - seg, r) + np.arange(seg[-1] + r[-1])]
+            d = cloud.dist[cs[c], np.repeat(p, r)]
+            hit = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, seg), r))
+            owner = np.repeat(np.arange(p.size), r)[hit]
+            a[p] = c[hit[np.diff(owner, prepend=-1) > 0]]  # the first minimum of each point
+        assignment.append(a)
         parents.append(parent_of_center)
-    return CubeSystem(cloud, delta, centers, assignment, parents)
+        up, cubes = a, len(cs)
+    return CubeSystem(cloud, delta, centers, assignment, [np.array([], dtype=int), *parents[1:]])
 
 
 def build_cube_system(
@@ -269,25 +354,29 @@ def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
     level_of, cube_of = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
     row = 0
     for level in range(system.n_levels - 1):
-        here, below, parent = system.assignment[level], system.assignment[level + 1], system.parent[level + 1]
-        for cube in np.flatnonzero(np.bincount(parent) > 1):  # a cube with one child waits until it subdivides
-            kids = np.flatnonzero(parent == cube)
-            masses = np.array([mu[below == k].sum() for k in kids])
+        below, parent = system.assignment[level + 1], system.parent[level + 1]
+        cubes = len(system.centers[level])
+        inside, cube_start = _grouped(system.assignment[level], cubes)
+        points, kid_start = _grouped(below, parent.size)
+        kids_of, start = _grouped(parent, cubes)
+        for cube in np.flatnonzero(np.diff(start) > 1):  # a cube with one child waits until it subdivides
+            kids = kids_of[start[cube]:start[cube + 1]]
+            masses = np.array([mu[points[kid_start[k]:kid_start[k + 1]]].sum() for k in kids])
             if np.any(masses <= 0):
                 raise DegenerateWeightError("child cube with zero mass")
             order = sorted(range(kids.size), key=lambda i: (-masses[i], -kids[i]))
-            rem_mask = here == cube
+            rem = inside[cube_start[cube]:cube_start[cube + 1]]  # every index list ascends
             for oi in order[:-1]:
-                plus = below == kids[oi]
-                minus = rem_mask & ~plus
-                m_plus = float(mu[plus].sum())
+                plus = points[kid_start[kids[oi]]:kid_start[kids[oi] + 1]]
+                minus = rem[below[rem] != kids[oi]]
+                m_plus = float(masses[oi])
                 m_minus = float(mu[minus].sum())
                 m_all = m_plus + m_minus
                 functions[row, plus] = math.sqrt(m_minus / (m_all * m_plus))
                 functions[row, minus] = -math.sqrt(m_plus / (m_all * m_minus))
                 level_of[row], cube_of[row] = level, cube
                 row += 1
-                rem_mask = minus
+                rem = minus
     return SHTHaarSystem(system, functions, level_of, cube_of, top_cubes=len(system.centers[0]))
 
 
@@ -304,6 +393,63 @@ def sht_reconstruct(coeffs: np.ndarray, tops: np.ndarray, basis: SHTHaarSystem) 
     return np.asarray(coeffs, dtype=float) @ basis.functions + np.asarray(tops)[basis.system.assignment[0]]
 
 
-def gram_matrix(basis: SHTHaarSystem) -> np.ndarray:
+def gram_matrix(basis: SHTHaarSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (i, j, G_ij) of the upper triangle i <= j of the
+    Gram matrix G_ij = sum_p mu_p h_i(p) h_j(p), i ascending, then j; G is
+    symmetric, and every entry left out is an exact zero.
+
+    The rows go BLOCK_ELEMENTS // len(H) at a time into one block against
+    the rows from the block's first on.  A block with few pairs of nonzero
+    values at a common point sums each entry over those points only, in
+    increasing order, BLOCK_ELEMENTS pairs at a time; any other is one array
+    product over slabs of at most BLOCK_ELEMENTS values, whose extra terms are
+    exact zeros.  Besides the blocks, only the nonzero pattern of the rows
+    from the block's first on and, for the sums, its list of nonzero values
+    are held: no temporary is (functions x functions) or grows with the
+    number of pairs."""
     H, mu = basis.functions, basis.system.cloud.mass
-    return H @ (mu[:, None] * H.T)
+    count, n = H.shape
+    support = H != 0
+    starts = range(0, count, max(1, BLOCK_ELEMENTS // max(count, 1)))
+    below = np.zeros((len(starts) + 1, n), dtype=int)  # per point, the nonzero values from block k's first row on
+    for k in reversed(range(len(starts))):
+        below[k] = below[k + 1] + np.count_nonzero(support[starts[k]:starts[k] + starts.step], axis=0)
+    flat = None  # the nonzero values of the rows from the first summed block on, row-major
+    parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+    for k, lo in enumerate(starts):
+        rows, cols = min(starts.step, count - lo), count - lo  # block rows lo:lo+rows, columns lo:
+        right = below[k]
+        if int((right - below[k + 1]) @ right) * DENSE_GRAM_RATIO < rows * n * cols:
+            flat = np.flatnonzero(support[lo:]) + lo * n if flat is None else flat[np.searchsorted(flat, lo * n):]
+            f, p = np.divmod(flat, n)
+            order = np.argsort(p, kind="stable")  # by point, then row
+            f, p = f[order] - lo, p[order]
+            v = H[lo + f, p]
+            w = v * mu[p]
+            mine = np.flatnonzero(f < rows)  # the block's entries, each paired with the
+            reps = np.cumsum(right)[p[mine]] - mine  # entries at its point from its own on
+            acc = np.zeros(rows * cols)
+            for a, b in _chunks(reps):
+                r = reps[a:b]
+                left_of = np.repeat(mine[a:b], r)
+                right_of = left_of + np.arange(left_of.size) - np.repeat(np.cumsum(r) - r, r)
+                acc += np.bincount(f[left_of] * cols + f[right_of], w[right_of] * v[left_of], acc.size)
+        else:
+            acc = np.zeros((rows, cols))
+            width = max(1, BLOCK_ELEMENTS // cols)
+            for p0 in range(0, n, width):
+                c = slice(p0, p0 + width)
+                acc += H[lo:lo + rows, c] @ (mu[c] * H[lo:, c]).T
+            acc = np.triu(acc)  # entries below the diagonal belong to earlier blocks
+        i, j = np.divmod(np.flatnonzero(acc != 0), cols)
+        parts.append((lo + i, lo + j, acc.reshape(rows, cols)[i, j]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def gram_error(basis: SHTHaarSystem) -> float:
+    """max |G - I| over the whole Gram matrix, read off `gram_matrix`'s
+    upper triangle: a diagonal entry it leaves out is G_ii = 0, error 1."""
+    i, j, g = gram_matrix(basis)
+    diagonal = i == j
+    err = float(np.max(np.abs(g - diagonal), initial=0.0))
+    return err if np.count_nonzero(diagonal) == len(basis.functions) else max(err, 1.0)

@@ -6,9 +6,9 @@ for the config below, the same report the CLI writes for those flags.
 its rows and family: exactly, but for the `average-hilbert` correlations and
 the `norms` and `ntv` power-iteration estimates, which go through BLAS and are compared
 to the relative tolerances in its `FLOAT_RTOL`, and its mesh depth and grid
-window.  The `haar` examples read
-the files in `inputs/`, which `write_inputs` writes from a seed; their configs
-give the paths relative to the repository root, where `main` runs them:
+window.  The `haar` and `sht` examples
+read the files in `inputs/`, which `write_inputs` writes from a seed; their
+configs give the paths relative to the repository root, where `main` runs them:
 
     PYTHONPATH=src python3 tests/reference/regenerate.py [stem ...]
 
@@ -33,6 +33,7 @@ from dyadlab.signal import Mesh, StepFunction
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
 INPUTS_SEED = 3
+CLOUD_POINTS = 128
 
 REFERENCES = {
     # dyadlab average-hilbert --depth 10 --samples 200 --seed 1 --margins 3,6
@@ -64,14 +65,17 @@ REFERENCES = {
         signal_meta="tests/reference/inputs/haar_grid.json",
         grid="tests/reference/inputs/grid.json",
     ),
+    # the README example: dyadlab sht --cloud cloud.csv --delta 0.5
+    "sht_cloud": dict(experiment="sht", cloud="tests/reference/inputs/cloud.csv", delta=0.5),
 }
 
 
 def write_inputs(directory: Path):
-    """The `haar` examples' inputs, from INPUTS_SEED: the values of a depth-6
-    signal, a side file placing them on the standard interval [-4, 0), a grid
-    file with r = 1.5 and random bits, and a side file placing them on one of
-    that grid's intervals."""
+    """The `haar` and `sht` examples' inputs, from INPUTS_SEED: the values of
+    a depth-6 signal, a side file placing them on the standard interval
+    [-4, 0), a grid file with r = 1.5 and random bits, a side file placing
+    them on one of that grid's intervals, and a cloud of CLOUD_POINTS uniform
+    points in the unit square with masses in [0.5, 2), in shuffled id order."""
     directory.mkdir(exist_ok=True)
     rng = np.random.default_rng(INPUTS_SEED)
     values = rng.standard_normal(1 << 6)
@@ -80,6 +84,9 @@ def write_inputs(directory: Path):
     roots = {"haar_standard.json": standard_grid(-3, 5).interval(-2, -1), "haar_grid.json": grid.interval(2, 3)}
     for meta, root in roots.items():  # both write the same values CSV
         StepFunction(Mesh(root, 6), values).to_csv(directory / "haar_signal.csv", directory / meta)
+    ids, xy, mass = rng.permutation(CLOUD_POINTS), rng.random((CLOUD_POINTS, 2)), rng.uniform(0.5, 2.0, CLOUD_POINTS)
+    rows = [f"{k},{x!r},{y!r},{m!r}\n" for k, (x, y), m in zip(ids.tolist(), xy.tolist(), mass.tolist())]
+    (directory / "cloud.csv").write_text("id,x,y,mass\n" + "".join(rows))
 
 
 def main(stems):

@@ -501,7 +501,7 @@ def test_c10_sht():
         QuasiMetricCloud,
         build_cube_system,
         build_sht_haar,
-        gram_matrix,
+        gram_error,
         lattice_cloud,
     )
     from dyadlab.signal import haar_function
@@ -511,9 +511,7 @@ def test_c10_sht():
     system = build_cube_system(cloud, 0.5)
     verification = system.verify()
     basis = build_sht_haar(system)
-    gram_err = float(
-        np.max(np.abs(gram_matrix(basis) - np.eye(basis.coefficient_count())))
-    )
+    gram_err = gram_error(basis)
     dim_ok = basis.coefficient_count() + basis.top_cubes == cloud.n
     n = 64
     lat = lattice_cloud(n, metric="dyadic")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dyadlab.cli import main
 from dyadlab.experiments import EXPERIMENTS, sweep_mesh
+from dyadlab.sht import MAX_CLOUD_POINTS
 from dyadlab.signal import StepFunction
 
 
@@ -266,6 +267,21 @@ def test_bad_cloud_file_is_a_config_error(tmp_path, capsys, text):
     cloud = tmp_path / "cloud.csv"
     cloud.write_text(text)
     assert_config_error(capsys, ["sht", "--cloud", str(cloud)])
+
+
+@pytest.mark.parametrize("kind", ["points", "edges"])
+def test_cloud_one_point_over_the_size_limit_is_a_config_error(tmp_path, capsys, kind):
+    # the points run to exit 0 without the guard; the edge list is a star, which names every id
+    # in n - 1 rows and would fail only after its n x n allocation, on the missing pairs
+    n = MAX_CLOUD_POINTS + 1
+    if kind == "points":
+        rows = ["id,x,y", *(f"{k},{k},0" for k in range(n))]
+    else:
+        rows = ["id_i,id_j,distance", *(f"0,{k},1.0" for k in range(1, n))]
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("\n".join(rows) + "\n")
+    assert main(["sht", "--cloud", str(cloud)]) == 2
+    assert f"at most {MAX_CLOUD_POINTS} points" in strict_loads(capsys.readouterr().err)["message"]
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dyadlab import sht
 from dyadlab.grid import standard_grid
 from dyadlab.sht import (
     QuasiMetricCloud,
@@ -15,6 +17,7 @@ from dyadlab.sht import (
     build_cube_system,
     build_nets,
     build_sht_haar,
+    gram_error,
     gram_matrix,
     lattice_cloud,
     sht_expand,
@@ -141,6 +144,49 @@ def test_constructor_rejects_asymmetry_a_nonzero_diagonal_and_a_zero_distance():
     for dist in (asymmetric, diagonal, zero):
         with pytest.raises(ValueError):
             QuasiMetricCloud(dist, np.ones(3))
+
+
+def per_z_quasi_triangle_constant(d):
+    """The largest d_ij / (d_iz + d_zj), one z at a time."""
+    worst = 1.0
+    for z in range(len(d)):
+        through = d[:, z][:, None] + d[z, :][None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(through > 0, d / through, 0.0)
+        worst = max(worst, float(np.max(ratio)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_min_plus_quasi_triangle_constant_matches_the_per_z_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 48))
+    if seed % 2:  # a power of a metric: a quasi-metric with A0 = 2^(power - 1)
+        x = rng.random((n, 2))
+        dist = np.hypot(*(x[:, None, :] - x[None, :, :]).T) ** rng.uniform(1.0, 3.0)
+    else:  # symmetric, positive, and far from any metric
+        dist = rng.exponential(size=(n, n)) ** 3
+        dist += dist.T
+        np.fill_diagonal(dist, 0.0)
+    cloud = QuasiMetricCloud(dist, np.ones(n), A0=1.0)
+    assert cloud.validate()["quasi_triangle_constant"] == per_z_quasi_triangle_constant(cloud.dist)
+
+
+@pytest.mark.parametrize("kind", ["points", "edges"])
+def test_cloud_size_guard_takes_the_limit_and_rejects_one_more(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(sht, "MAX_CLOUD_POINTS", 3)
+
+    def cloud_file(n):
+        path = tmp_path / f"{kind}{n}.csv"
+        if kind == "points":
+            path.write_text("id,x,y\n" + "".join(f"{k},{k},{k * k}\n" for k in range(n)))
+        else:
+            path.write_text("id_i,id_j,distance\n" + "".join(f"{a},{b},1.0\n" for a in range(n) for b in range(a)))
+        return str(path)
+
+    assert QuasiMetricCloud.from_csv(cloud_file(3)).n == 3
+    with pytest.raises(ValueError, match="at most 3 points"):
+        QuasiMetricCloud.from_csv(cloud_file(4))
 
 
 def test_quasi_metric_validation():
@@ -329,8 +375,108 @@ def test_five_children_cube_gram_identity():
     assert len(system.centers[1]) == 5
     basis = build_sht_haar(system)
     assert np.count_nonzero(basis.level == 0) == 4  # N(Q) - 1
-    G = gram_matrix(basis)
-    np.testing.assert_allclose(G, np.eye(len(basis.functions)), atol=1e-10)
+    assert gram_error(basis) <= 1e-10
+
+
+def dense_gram(basis):
+    H, mu = basis.functions, basis.system.cloud.mass
+    return H @ (mu[:, None] * H.T)
+
+
+# DENSE_GRAM_RATIO 0 sums every block over its pairs; 10**18 makes every block an array product
+GRAM_PATHS = {"pairs": 0, "products": 10**18}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("path", GRAM_PATHS)
+@pytest.mark.parametrize("name", ORACLE_CLOUDS)
+def test_coordinate_gram_matches_the_dense_product(monkeypatch, name, path, block):
+    system = build_cube_system(ORACLE_CLOUDS[name](), 0.5, k_max=8 if name == "five-point" else None)
+    basis = build_sht_haar(system)
+    monkeypatch.setattr(sht, "DENSE_GRAM_RATIO", GRAM_PATHS[path])
+    if block:
+        monkeypatch.setattr(sht, "BLOCK_ELEMENTS", block)  # one row per block, a few pairs per sum
+    i, j, g = gram_matrix(basis)
+    count = len(basis.functions)
+    key = i * count + j
+    assert np.all(i <= j) and np.all(np.diff(key) > 0) and np.all(g != 0)  # the upper triangle, in order
+    support = (basis.functions != 0).astype(int)
+    meet = support @ support.T > 0  # the pairs of functions nonzero at a common point
+    assert np.all(meet[i, j])
+    dense = dense_gram(basis)
+    assert not np.any(dense[~meet])  # the dense product is exactly 0 where the supports do not meet
+    G = np.zeros((count, count))
+    G[i, j] = G[j, i] = g
+    np.testing.assert_allclose(G, dense, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("path", GRAM_PATHS)
+def test_gram_of_a_cube_whose_points_are_all_children_stays_in_blocks(tmp_path, monkeypatch, path):
+    n = 200
+    cloud_csv = tmp_path / "equidistant.csv"
+    cloud_csv.write_text("id_i,id_j,distance\n" + "".join(f"{a},{b},0.9\n" for a in range(n) for b in range(a)))
+    system = build_cube_system(QuasiMetricCloud.from_csv(cloud_csv), 0.5)
+    assert [len(c) for c in system.centers] == [1, n]  # one cube with n children
+    basis = build_sht_haar(system)
+    alive = np.count_nonzero(basis.functions, axis=0)
+    assert int(np.sum(alive.astype(np.int64) ** 2)) > 2_500_000  # pairs of values at a point: about n^3 / 3
+    monkeypatch.setattr(sht, "DENSE_GRAM_RATIO", GRAM_PATHS[path])
+    monkeypatch.setattr(sht, "BLOCK_ELEMENTS", 4096)
+    tracemalloc.start()
+    try:
+        err = gram_error(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err <= 1e-12
+    # the Haar array is 0.3 MB and the upper triangle of G about 0.5 MB in
+    # coordinate form; one array per pair would need 20 MB
+    assert peak < 3e6
+
+
+@pytest.mark.parametrize("path", GRAM_PATHS)
+@pytest.mark.parametrize("mutation", ["flip-one-sign", "scale-one-row", "zero-one-row"])
+def test_gram_error_catches_a_broken_haar_function(tmp_path, monkeypatch, mutation, path):
+    from dyadlab.experiments import ExperimentConfig, run
+
+    cloud_csv = tmp_path / "cloud.csv"
+    xy = np.random.default_rng(12).random((64, 2))
+    cloud_csv.write_text("id,x,y\n" + "".join(f"{k},{x!r},{y!r}\n" for k, (x, y) in enumerate(xy.tolist())))
+    build = sht.build_sht_haar
+
+    def broken(system):
+        basis = build(system)
+        H = basis.functions
+        point = int(np.argmax(np.count_nonzero(H, axis=0)))  # the point most functions share
+        row = int(np.flatnonzero(H[:, point])[-1])
+        if mutation == "flip-one-sign":
+            H[row, point] = -H[row, point]
+        elif mutation == "scale-one-row":
+            H[row] *= 1.0 + 1e-8
+        else:
+            H[row] = 0.0
+        return basis
+
+    def reported_gram_error():
+        rows = run(ExperimentConfig(experiment="sht", cloud=str(cloud_csv)))["rows"]
+        return next(r["value"] for r in rows if r["quantity"] == "gram_error")
+
+    monkeypatch.setattr(sht, "DENSE_GRAM_RATIO", GRAM_PATHS[path])
+    assert reported_gram_error() <= 1e-12
+    monkeypatch.setattr(sht, "build_sht_haar", broken)
+    assert reported_gram_error() > 1e-10
+
+
+@pytest.mark.parametrize("name", ["planar300-mass", "lattice-euclidean", "five-children"])
+def test_blocked_assignment_and_verification_match_one_block(monkeypatch, name):
+    cloud = ORACLE_CLOUDS[name]()
+    nets = build_nets(cloud, 0.5)
+    whole = assign_cubes(nets, cloud, 0.5)
+    report = whole.verify()
+    monkeypatch.setattr(sht, "BLOCK_ELEMENTS", 7)  # a few (point, child) pairs, one row of distances
+    blocked = assign_cubes(nets, cloud, 0.5)
+    assert all(np.array_equal(a, b) for a, b in zip(blocked.assignment, whole.assignment))
+    assert blocked.verify() == report
 
 
 def test_expand_reconstruct_and_parseval():
@@ -400,6 +546,28 @@ def test_cloud_csv_edge_list(tmp_path):
     assert cloud.A0 == pytest.approx(1.5)
     rep = cloud.validate()
     assert rep["A0_ok"]
+
+
+def test_edge_list_in_any_row_order_and_orientation_gives_the_distance_matrix(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 40
+    x = rng.random((n, 2))
+    want = np.hypot(*(x[:, None, :] - x[None, :, :]).T)
+    ids = 10 ** 12 + 7 * rng.permutation(n)  # sparse, unordered ids; point k has the k-th smallest
+    rank = np.argsort(np.argsort(ids))
+    a, b = np.triu_indices(n, k=1)
+    pairs = np.concatenate([np.stack([a, b], 1), np.stack([b, a], 1)[: n]])  # some pairs twice, reversed
+    pairs = pairs[rng.permutation(len(pairs))]
+    path = tmp_path / "edges.csv"
+    path.write_text("id_i,id_j,distance\n" + "".join(
+        f"{ids[i]},{ids[j]},{float(want[rank[i], rank[j]])!r}\n" for i, j in pairs
+    ))
+    assert np.array_equal(QuasiMetricCloud.from_csv(str(path)).dist, want)
+    i, j = pairs[-1]
+    with open(path, "a") as fh:  # the pair given once more, with another distance
+        fh.write(f"{ids[j]},{ids[i]},{float(want[rank[i], rank[j]]) * 2!r}\n")
+    with pytest.raises(ValueError, match="two different distances"):
+        QuasiMetricCloud.from_csv(str(path))
 
 
 def test_cloud_csv_points(tmp_path):
