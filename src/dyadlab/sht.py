@@ -19,17 +19,11 @@ import numpy as np
 
 from .errors import DegenerateWeightError
 
-# the most elements one block of a cube-system or Gram pass holds: the 2^20 of
-# operators' block caps, kept apart so that sht imports none of the signal
-# modules and its tests can shrink it alone
+# the most elements one block of `assign_cubes` or `CubeSystem.verify` holds:
+# the 2^20 of operators' block caps, kept apart so that sht imports none of
+# the signal modules and its tests can shrink it alone
 BLOCK_ELEMENTS = 1 << 20
-# a block of Gram rows is one array product, not a sum over its pairs of
-# nonzero Haar values at a common point, once those pairs reach
-# 1/DENSE_GRAM_RATIO of its rows x points x columns.  On one BLAS thread the
-# two cost the same near 1/450 (1022 functions, 2-vCPU Xeon); the sums need
-# no BLAS, so they are kept until they cost about twice the product.
-DENSE_GRAM_RATIO = 256
-MAX_CLOUD_POINTS = 4096  # the largest cloud a file may hold: `sht` keeps n x n distances and Haar values
+MAX_CLOUD_POINTS = 4096  # the largest cloud a file may hold: `sht` keeps n x n distances
 
 
 @dataclass
@@ -55,6 +49,9 @@ class QuasiMetricCloud:
             raise ValueError("a cloud's distances must be symmetric, zero on the diagonal and positive elsewhere")
         if np.min(self.mass) <= 0:
             raise DegenerateWeightError("point masses must be positive")
+        total = float(np.sum(self.mass))
+        if np.min(self.mass) < np.finfo(float).tiny or not math.isfinite(total * total):
+            raise ValueError("point masses must be normal doubles (at least 2.2e-308) whose total has a finite square")
 
     @property
     def n(self) -> int:
@@ -162,13 +159,12 @@ def lattice_cloud(n_points: int, metric: str = "euclidean") -> QuasiMetricCloud:
     if n_points & (n_points - 1):
         raise ValueError("dyadic lattice metric needs a power-of-two size")
     depth = n_points.bit_length() - 1
-    dist = np.zeros((n_points, n_points))
-    for i in range(n_points):
-        for j in range(i + 1, n_points):
-            block = (i ^ j).bit_length()  # cells in the smallest common block: 2^block
-            # scale by 0.9 so delta=1/2 nets at level k sit one per
-            # generation-k block and nearest centers are strict
-            dist[i, j] = dist[j, i] = 0.9 * 2.0 ** (block - depth)
+    ids = np.arange(n_points)
+    block = np.frexp(ids[:, None] ^ ids[None, :])[1]  # the bit length of i ^ j: 2^block cells in common
+    # scale by 0.9 so delta=1/2 nets at level k sit one per
+    # generation-k block and nearest centers are strict
+    dist = 0.9 * 2.0 ** (block - depth)
+    np.fill_diagonal(dist, 0.0)
     return QuasiMetricCloud(dist, np.ones(n_points), A0=1.0)
 
 
@@ -324,18 +320,30 @@ def build_cube_system(
 
 @dataclass
 class SHTHaarSystem:
-    """The Haar functions as the rows of one (functions x points) array, each
-    dense over the cloud and zero off its cube.  A cube's rows are consecutive
-    and in peeling order; `level` and `cube` name the cube of each row."""
+    """The Haar functions as runs of one point order, in which every cube,
+    child and peeled remainder is contiguous: function f is a[f] on
+    order[start[f]:mid[f]] (its child), -b[f] on order[mid[f]:end[f]] (the
+    children peeled after it) and zero elsewhere.  A cube's functions are
+    consecutive and in peeling order; `level` and `cube` name the cube of each."""
 
     system: CubeSystem
-    functions: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+    mid: np.ndarray
+    end: np.ndarray
     level: np.ndarray
     cube: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     top_cubes: int
 
+    @property
+    def functions(self) -> np.recarray:
+        """One (start, mid, end, a, b) record per Haar function."""
+        return np.rec.fromarrays((self.start, self.mid, self.end, self.a, self.b), names="start,mid,end,a,b")
+
     def coefficient_count(self) -> int:
-        return len(self.functions)
+        return self.a.size
 
 
 def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
@@ -347,11 +355,17 @@ def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
     h^i = a 1_{child_i} - b 1_{E^{i+1}} with a, b forced by L^2(mu)
     normalization and mean zero.  Every cube keeps its own center one level
     down, so each level adds (children - cubes) functions.
-    """
-    mu = system.cloud.mass
+
+    The point order lists each cube's children in peeling order, so each
+    child and each E^{i+1} is one run; `first` is each cube's first place.
+    The masses are scaled by the 2^(-2k) that brings their total near 1, and
+    a and b back by 2^(-k), both exact: same bits, and no mass product underflows."""
+    shift = math.frexp(float(np.sum(system.cloud.mass)))[1] // 2
+    mu = np.ldexp(system.cloud.mass, -2 * shift)
     count = len(system.centers[-1]) - len(system.centers[0])
-    functions = np.zeros((count, system.cloud.n))
-    level_of, cube_of = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    a, b = np.zeros(count), np.zeros(count)
+    runs = np.zeros((count, 5), dtype=int)  # per function: start, mid, end, level, cube
+    first = _grouped(system.assignment[0], len(system.centers[0]))[1][:-1]
     row = 0
     for level in range(system.n_levels - 1):
         below, parent = system.assignment[level + 1], system.parent[level + 1]
@@ -359,97 +373,85 @@ def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
         inside, cube_start = _grouped(system.assignment[level], cubes)
         points, kid_start = _grouped(below, parent.size)
         kids_of, start = _grouped(parent, cubes)
+        offset = np.zeros(parent.size, dtype=int)  # each child's first place in its cube's run
         for cube in np.flatnonzero(np.diff(start) > 1):  # a cube with one child waits until it subdivides
             kids = kids_of[start[cube]:start[cube + 1]]
             masses = np.array([mu[points[kid_start[k]:kid_start[k + 1]]].sum() for k in kids])
             if np.any(masses <= 0):
                 raise DegenerateWeightError("child cube with zero mass")
-            order = sorted(range(kids.size), key=lambda i: (-masses[i], -kids[i]))
+            peel = sorted(range(kids.size), key=lambda i: (-masses[i], -kids[i]))
+            sizes = np.diff(kid_start)[kids[peel]]
+            offset[kids[peel]] = np.cumsum(sizes) - sizes
             rem = inside[cube_start[cube]:cube_start[cube + 1]]  # every index list ascends
-            for oi in order[:-1]:
-                plus = points[kid_start[kids[oi]]:kid_start[kids[oi] + 1]]
+            end = first[cube] + rem.size
+            for oi, size in zip(peel[:-1], sizes.tolist()):
                 minus = rem[below[rem] != kids[oi]]
                 m_plus = float(masses[oi])
                 m_minus = float(mu[minus].sum())
                 m_all = m_plus + m_minus
-                functions[row, plus] = math.sqrt(m_minus / (m_all * m_plus))
-                functions[row, minus] = -math.sqrt(m_plus / (m_all * m_minus))
-                level_of[row], cube_of[row] = level, cube
+                a[row] = math.ldexp(math.sqrt(m_minus / (m_all * m_plus)), -shift)
+                b[row] = math.ldexp(math.sqrt(m_plus / (m_all * m_minus)), -shift)
+                lo = first[cube] + offset[kids[oi]]
+                runs[row] = lo, lo + size, end, level, cube
                 row += 1
                 rem = minus
-    return SHTHaarSystem(system, functions, level_of, cube_of, top_cubes=len(system.centers[0]))
+        first = first[parent] + offset
+    order = np.argsort(first[system.assignment[-1]], kind="stable")
+    return SHTHaarSystem(system, order, *np.ascontiguousarray(runs.T), a, b, top_cubes=len(system.centers[0]))
+
+
+def _run_sums(values: np.ndarray, basis: SHTHaarSystem):
+    """Per function, the direct sums of the per-point `values` over its plus and its minus run."""
+    ordered = np.append(values[basis.order], 0.0)  # an end at n is a legal index
+    sums = np.add.reduceat(ordered, np.column_stack([basis.start, basis.mid, basis.end]).ravel())
+    return sums[0::3], sums[1::3]
 
 
 def sht_expand(f: np.ndarray, basis: SHTHaarSystem):
     """Coefficients against the Haar system plus the per-top-cube means."""
-    mu = basis.system.cloud.mass
+    mu, top = basis.system.cloud.mass, basis.system.assignment[0]
     fmu = np.asarray(f, dtype=float) * mu
-    top = basis.system.assignment[0]
+    plus, minus = _run_sums(fmu, basis)
     tops = np.bincount(top, fmu, basis.top_cubes) / np.bincount(top, mu, basis.top_cubes)
-    return basis.functions @ fmu, tops
+    return basis.a * plus - basis.b * minus, tops
 
 
 def sht_reconstruct(coeffs: np.ndarray, tops: np.ndarray, basis: SHTHaarSystem) -> np.ndarray:
-    return np.asarray(coeffs, dtype=float) @ basis.functions + np.asarray(tops)[basis.system.assignment[0]]
+    """The Haar terms, as steps c a at each start, -c (a + b) at each mid and
+    c b at each end summed up in `order`, plus the top-cube means."""
+    c, n = np.asarray(coeffs, dtype=float), basis.system.cloud.n
+    at = np.concatenate([basis.start, basis.mid, basis.end])
+    steps = np.bincount(at, np.concatenate([c * basis.a, -c * (basis.a + basis.b), c * basis.b]), n + 1)
+    out = np.empty(n)
+    out[basis.order] = np.cumsum(steps[:n])
+    return out + np.asarray(tops)[basis.system.assignment[0]]
 
 
-def gram_matrix(basis: SHTHaarSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries (i, j, G_ij) of the upper triangle i <= j of the
-    Gram matrix G_ij = sum_p mu_p h_i(p) h_j(p), i ascending, then j; G is
-    symmetric, and every entry left out is an exact zero.
+def gram_matrix(basis: SHTHaarSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Per Haar function f: G_ff, and the largest |G_gf| = |sum_p mu_p h_g h_f|
+    over the g before f in the orthonormal system [top-cube indicators; Haar
+    functions].  With G symmetric, these cover the whole matrix.
 
-    The rows go BLOCK_ELEMENTS // len(H) at a time into one block against
-    the rows from the block's first on.  A block with few pairs of nonzero
-    values at a common point sums each entry over those points only, in
-    increasing order, BLOCK_ELEMENTS pairs at a time; any other is one array
-    product over slabs of at most BLOCK_ELEMENTS values, whose extra terms are
-    exact zeros.  Besides the blocks, only the nonzero pattern of the rows
-    from the block's first on and, for the sums, its list of nonzero values
-    are held: no temporary is (functions x functions) or grows with the
-    number of pairs."""
-    H, mu = basis.functions, basis.system.cloud.mass
-    count, n = H.shape
-    support = H != 0
-    starts = range(0, count, max(1, BLOCK_ELEMENTS // max(count, 1)))
-    below = np.zeros((len(starts) + 1, n), dtype=int)  # per point, the nonzero values from block k's first row on
-    for k in reversed(range(len(starts))):
-        below[k] = below[k + 1] + np.count_nonzero(support[starts[k]:starts[k] + starts.step], axis=0)
-    flat = None  # the nonzero values of the rows from the first summed block on, row-major
-    parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
-    for k, lo in enumerate(starts):
-        rows, cols = min(starts.step, count - lo), count - lo  # block rows lo:lo+rows, columns lo:
-        right = below[k]
-        if int((right - below[k + 1]) @ right) * DENSE_GRAM_RATIO < rows * n * cols:
-            flat = np.flatnonzero(support[lo:]) + lo * n if flat is None else flat[np.searchsorted(flat, lo * n):]
-            f, p = np.divmod(flat, n)
-            order = np.argsort(p, kind="stable")  # by point, then row
-            f, p = f[order] - lo, p[order]
-            v = H[lo + f, p]
-            w = v * mu[p]
-            mine = np.flatnonzero(f < rows)  # the block's entries, each paired with the
-            reps = np.cumsum(right)[p[mine]] - mine  # entries at its point from its own on
-            acc = np.zeros(rows * cols)
-            for a, b in _chunks(reps):
-                r = reps[a:b]
-                left_of = np.repeat(mine[a:b], r)
-                right_of = left_of + np.arange(left_of.size) - np.repeat(np.cumsum(r) - r, r)
-                acc += np.bincount(f[left_of] * cols + f[right_of], w[right_of] * v[left_of], acc.size)
-        else:
-            acc = np.zeros((rows, cols))
-            width = max(1, BLOCK_ELEMENTS // cols)
-            for p0 in range(0, n, width):
-                c = slice(p0, p0 + width)
-                acc += H[lo:lo + rows, c] @ (mu[c] * H[lo:, c]).T
-            acc = np.triu(acc)  # entries below the diagonal belong to earlier blocks
-        i, j = np.divmod(np.flatnonzero(acc != 0), cols)
-        parts.append((lo + i, lo + j, acc.reshape(rows, cols)[i, j]))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    Each g is constant on the support of each later f that it meets, so G_gf
+    is h_g there times a m+ - b m-, and disjoint supports give exact zeros.
+    The largest |h_g| over the earlier g is read at order[start[f]] in one
+    coarse-to-fine sweep.  The indicators come first so that every
+    function's mean is checked, also one with no Haar function over it."""
+    mu = basis.system.cloud.mass
+    plus, minus = _run_sums(mu, basis)
+    a, b = np.abs(basis.a), np.abs(basis.b)
+    diag = a * a * plus + b * b * minus
+    top = basis.system.assignment[0]
+    high = (1.0 / np.sqrt(np.bincount(top, mu, basis.top_cubes)))[top[basis.order]]  # per place in `order`
+    above = np.empty(a.size)
+    for f, (s, m, e) in enumerate(zip(basis.start.tolist(), basis.mid.tolist(), basis.end.tolist())):
+        above[f] = high[s]
+        np.maximum(high[s:m], a[f], out=high[s:m])
+        np.maximum(high[m:e], b[f], out=high[m:e])
+    return diag, np.abs(basis.a * plus - basis.b * minus) * above
 
 
 def gram_error(basis: SHTHaarSystem) -> float:
-    """max |G - I| over the whole Gram matrix, read off `gram_matrix`'s
-    upper triangle: a diagonal entry it leaves out is G_ii = 0, error 1."""
-    i, j, g = gram_matrix(basis)
-    diagonal = i == j
-    err = float(np.max(np.abs(g - diagonal), initial=0.0))
-    return err if np.count_nonzero(diagonal) == len(basis.functions) else max(err, 1.0)
+    """max |G - I| over the orthonormal system, read off `gram_matrix`."""
+    diag, off = gram_matrix(basis)
+    return float(np.max(np.concatenate([np.abs(diag - 1.0), off]), initial=0.0))

@@ -293,18 +293,20 @@ def haar_function(mesh: Mesh, where) -> StepFunction:
     return StepFunction(mesh, vals)
 
 
+def sibling_difference(pyr: list[np.ndarray], level: int) -> np.ndarray:
+    """Per interval of `level`, its right child's entry minus its left child's in `pyr`."""
+    fine = pyr[level + 1]
+    return fine[1::2] - fine[0::2]
+
+
 def analyze(f: StepFunction) -> HaarSpectrum:
-    """O(N) bottom-up pyramid of pairwise sums and differences."""
+    """The means pyramid, then c_I = |I|^{1/2} (<f>_{I_right} - <f>_{I_left}) / 2."""
     mesh = f.mesh
-    levels: list[np.ndarray | None] = [None] * mesh.depth
-    cur = f.values
-    for level in range(mesh.depth - 1, -1, -1):
-        left, right = cur[0::2], cur[1::2]
-        scale = 0.5 * math.sqrt(mesh.level_length(level))
-        levels[level] = right - left
-        levels[level] *= scale
-        cur = _pair_mean(left, right)
-    return HaarSpectrum(mesh, float(cur[0]), levels)
+    pyr = pyramid(f.values, np.mean)
+    levels = [sibling_difference(pyr, level) for level in range(mesh.depth)]
+    for level, c in enumerate(levels):
+        c *= 0.5 * math.sqrt(mesh.level_length(level))
+    return HaarSpectrum(mesh, float(pyr[0][0]), levels)
 
 
 def haar_refine(cur: np.ndarray, step: np.ndarray) -> np.ndarray:

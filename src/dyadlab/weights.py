@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .signal import Mesh, StepFunction, _pair_sum, means_pyramid, pyramid
+from .signal import Mesh, StepFunction, _pair_sum, means_pyramid, pyramid, sibling_difference
 from . import operators
 
 
@@ -71,11 +71,6 @@ def _tree_max_product(pyr_a, pyr_b, exponent_b=1.0):
         if prod[pos] > best:
             best, arg = float(prod[pos]), (level, pos)
     return best, arg
-
-
-def _deltas(pyr, level):
-    fine = pyr[level + 1]
-    return fine[1::2] - fine[0::2]
 
 
 def ap_characteristic(w: Weight, p: float) -> float:
@@ -208,7 +203,7 @@ def fkp_sequence(w: Weight) -> CarlesonSequence:
     mesh = w.mesh
     pyr = means_pyramid(w)
     return _coefficient_sequence(
-        mesh, lambda l: (_deltas(pyr, l) / pyr[l]) ** 2 * mesh.level_length(l)
+        mesh, lambda l: (sibling_difference(pyr, l) / pyr[l]) ** 2 * mesh.level_length(l)
     )
 
 
@@ -227,7 +222,7 @@ def alpha_sequence(w: Weight, alpha: float) -> CarlesonSequence:
 
     def term(level):
         pw0, pi0 = pw[level], pi[level]
-        ratio2 = (_deltas(pw, level) / pw0) ** 2 + (_deltas(pi, level) / pi0) ** 2
+        ratio2 = (sibling_difference(pw, level) / pw0) ** 2 + (sibling_difference(pi, level) / pi0) ** 2
         return (pw0 * pi0) ** alpha * mesh.level_length(level) * ratio2
 
     return _coefficient_sequence(mesh, term)
@@ -239,7 +234,7 @@ def ntv_alpha_sequence(u_inv: Weight, v: Weight) -> CarlesonSequence:
     pv, pu = means_pyramid(v), means_pyramid(u_inv)
     return _coefficient_sequence(
         mesh,
-        lambda l: np.abs(_deltas(pv, l)) / pv[l] * np.abs(_deltas(pu, l)) / pu[l] * mesh.level_length(l),
+        lambda l: np.abs(sibling_difference(pv, l)) / pv[l] * np.abs(sibling_difference(pu, l)) / pu[l] * mesh.level_length(l),
     )
 
 
@@ -375,8 +370,8 @@ def ntv_conditions(u: Weight, v: Weight, norm_tol: float = 1e-8, norm_iters: int
     u_inv = u.reciprocal()
     pu, pv = means_pyramid(u_inv), means_pyramid(v)
     joint, _ = _tree_max_product(pu, pv)
-    seq_ii = _coefficient_sequence(mesh, lambda l: mesh.level_length(l) * _deltas(pu, l) ** 2 * pv[l])
-    seq_iii = _coefficient_sequence(mesh, lambda l: mesh.level_length(l) * _deltas(pv, l) ** 2 * pu[l])
+    seq_ii = _coefficient_sequence(mesh, lambda l: mesh.level_length(l) * sibling_difference(pu, l) ** 2 * pv[l])
+    seq_iii = _coefficient_sequence(mesh, lambda l: mesh.level_length(l) * sibling_difference(pv, l) ** 2 * pu[l])
     alpha_seq = ntv_alpha_sequence(u_inv, v)
     t0 = operators.positive_dyadic_operator(alpha_seq)
     norm = operators.operator_norm_two_weight(

@@ -519,7 +519,10 @@ def test_c10_sht():
     g = standard_grid(-2, 10)
     mesh = Mesh(g.interval(0, 0), 6)
     classical_err = 0.0
-    for values, level, cube in zip(lat_basis.functions, lat_basis.level, lat_basis.cube):
+    for f, (level, cube) in enumerate(zip(lat_basis.level, lat_basis.cube)):
+        values = np.zeros(n)  # the function from its runs
+        values[lat_basis.order[lat_basis.start[f]:lat_basis.mid[f]]] = lat_basis.a[f]
+        values[lat_basis.order[lat_basis.mid[f]:lat_basis.end[f]]] = -lat_basis.b[f]
         pts = lat_basis.system.cube_points(level, cube)
         pos = int(pts.min()) // (n >> level)
         classical = haar_function(mesh, (int(level), pos)).values

@@ -246,6 +246,11 @@ def test_shift_sweep_below_the_depth_runs(capsys, operator):
     assert isinstance(strict_loads(capsys.readouterr().out)["slope"], float)  # strict JSON: a finite slope
 
 
+def three_point_cloud(mass):
+    """Three points of one mass in one top cube, which splits into all three."""
+    return f"id,x,y,mass\n0,0,0,{mass!r}\n1,0.3,0,{mass!r}\n2,0,0.6,{mass!r}\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -257,16 +262,31 @@ def test_shift_sweep_below_the_depth_runs(capsys, operator):
         "id_i,id_j,distance\n0,1,1.0\n1,2,1.0\n0,2,2.0\n0,0,1.0\n",
         "id_i,id_j,distance\n0,1,1.0\n1,2,1.0\n0,2,2.0\n2,0,1.5\n",
         "id,x,y\n0,0.5,0.5\n1,0.25,0.75\n2,0.5,0.5\n",
+        three_point_cloud(1e-320),
+        three_point_cloud(1e154),
     ],
     ids=["short-row", "header-only", "nan-coordinate", "missing-pair", "negative-distance", "self-edge",
-         "pair-given-twice", "equal-points"],
+         "pair-given-twice", "equal-points", "subnormal-mass", "mass-total-squared-overflows"],
 )
 def test_bad_cloud_file_is_a_config_error(tmp_path, capsys, text):
-    # once: IndexError (exit 1), a report of n_points 1 (exit 0), exit 0 on nan; the last five
-    # ran to exit 0 on a matrix that is no quasi-metric (a missing pair reported 64 levels)
+    # once: IndexError (exit 1), a report of n_points 1 (exit 0), exit 0 on nan; the next five
+    # ran to exit 0 on a matrix that is no quasi-metric (a missing pair reported 64 levels); a
+    # subnormal mass exited 3 on a division by zero, and masses of 1e154 exited 0 on a basis of
+    # zeros (gram_error 1)
     cloud = tmp_path / "cloud.csv"
     cloud.write_text(text)
     assert_config_error(capsys, ["sht", "--cloud", str(cloud)])
+
+
+@pytest.mark.parametrize("mass", [1e-200, 1e150])
+def test_cloud_masses_far_from_one_run(tmp_path, capsys, mass):
+    # at 1e-200 a product of two cube masses underflows: exit 3 on a division by zero once
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(three_point_cloud(mass))
+    assert main(["sht", "--cloud", str(cloud), "--out", str(tmp_path), "--format", "json"]) == 0
+    report = strict_loads(next(tmp_path.glob("*.json")).read_text())
+    quantities = {r["quantity"]: r["value"] for r in report["rows"]}
+    assert quantities["basis_size"] == 2 and quantities["gram_error"] <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["points", "edges"])

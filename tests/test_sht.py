@@ -260,6 +260,16 @@ def test_lattice_cubes_are_contiguous_ranges():
             assert np.array_equal(pts, np.arange(pts.min(), pts.max() + 1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_dyadic_lattice_distances_match_the_pair_loop(n):
+    depth = n.bit_length() - 1
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = 0.9 * 2.0 ** ((i ^ j).bit_length() - depth)
+    assert np.array_equal(lattice_cloud(n, metric="dyadic").dist, dist)
+
+
 def test_dyadic_lattice_reproduces_grid_hierarchy():
     n = 64
     cloud = lattice_cloud(n, metric="dyadic")
@@ -301,6 +311,16 @@ def reference_haar(system):
     return functions
 
 
+def haar_rows(basis):
+    """The Haar functions as dense rows over the cloud, one function at a time
+    from its runs: a on order[start:mid], -b on order[mid:end]."""
+    rows = np.zeros((basis.a.size, basis.system.cloud.n))
+    for row, s, m, e, a, b in zip(rows, basis.start, basis.mid, basis.end, basis.a, basis.b):
+        row[basis.order[s:m]] = a
+        row[basis.order[m:e]] = -b
+    return rows
+
+
 def reference_expand(f, functions, system):
     mu = system.cloud.mass
     coeffs = np.array([float(np.sum(f * vals * mu)) for _, _, vals in functions])
@@ -325,10 +345,11 @@ def test_haar_array_and_its_operations_match_the_per_function_loops(name):
     system = build_cube_system(ORACLE_CLOUDS[name](), 0.5, k_max=8 if name == "five-point" else None)
     basis = build_sht_haar(system)
     expected = reference_haar(system)
-    assert basis.functions.shape == (len(expected), system.cloud.n)
+    rows = haar_rows(basis)
+    assert rows.shape == (len(expected), system.cloud.n)
     assert basis.level.tolist() == [lv for lv, _, _ in expected]
     assert basis.cube.tolist() == [cb for _, cb, _ in expected]
-    for row, (_, _, vals) in zip(basis.functions, expected):
+    for row, (_, _, vals) in zip(rows, expected):
         assert np.array_equal(row, vals)
     f = np.random.default_rng(len(name)).standard_normal(system.cloud.n)
     coeffs, tops = sht_expand(f, basis)
@@ -345,7 +366,7 @@ def test_haar_array_and_its_operations_match_the_per_function_loops(name):
 def test_two_equal_children_reproduce_classical_shape():
     cloud = lattice_cloud(8, metric="dyadic")
     basis = build_sht_haar(build_cube_system(cloud, 0.5))
-    top = basis.functions[basis.level == 0][0]
+    top = haar_rows(basis)[basis.level == 0][0]
     # +- 1/sqrt(mu(Q)) with positive sign on the second half (right child)
     amp = 1.0 / np.sqrt(8.0)
     np.testing.assert_allclose(top[4:], amp)
@@ -361,7 +382,7 @@ def test_dyadic_lattice_matches_classical_haar_values():
     # counting measure vs Lebesgue: L2(mu) and L2(dx) normalizations differ
     # by sqrt(n) uniformly across levels; cube indices follow the greedy
     # center order, so recover the dyadic position from the point range
-    for values, level, cube in zip(basis.functions, basis.level, basis.cube):
+    for values, level, cube in zip(haar_rows(basis), basis.level, basis.cube):
         pts = basis.system.cube_points(level, cube)
         width = n >> level
         pos = int(pts.min()) // width
@@ -378,50 +399,65 @@ def test_five_children_cube_gram_identity():
     assert gram_error(basis) <= 1e-10
 
 
-def dense_gram(basis):
-    H, mu = basis.functions, basis.system.cloud.mass
-    return H @ (mu[:, None] * H.T)
+def system_rows(basis):
+    """The whole orthonormal system as dense rows: the normalized top-cube
+    indicators, then the Haar functions."""
+    mu, top = basis.system.cloud.mass, basis.system.assignment[0]
+    indicators = np.zeros((basis.top_cubes, basis.system.cloud.n))
+    indicators[top, np.arange(top.size)] = 1.0 / np.sqrt(np.bincount(top, mu))[top]
+    return np.vstack([indicators, haar_rows(basis)])
 
 
-# DENSE_GRAM_RATIO 0 sums every block over its pairs; 10**18 makes every block an array product
-GRAM_PATHS = {"pairs": 0, "products": 10**18}
+def gram_by_products(S, mu):
+    return S @ (mu[:, None] * S.T)
+
+
+def gram_by_pairs(S, mu):
+    """The sum over the points, in increasing order, of mu_p times the
+    products of the pairs of values at p."""
+    G = np.zeros((len(S), len(S)))
+    for p in range(S.shape[1]):
+        G += mu[p] * np.outer(S[:, p], S[:, p])
+    return G
+
+
+# the two dense oracles of the Gram matrix: one array product, or a sum over pairs of values point by point
+GRAM_ORACLES = {"pairs": gram_by_pairs, "products": gram_by_products}
 
 
 @pytest.mark.parametrize("block", [None, 7])
-@pytest.mark.parametrize("path", GRAM_PATHS)
+@pytest.mark.parametrize("oracle", GRAM_ORACLES)
 @pytest.mark.parametrize("name", ORACLE_CLOUDS)
-def test_coordinate_gram_matches_the_dense_product(monkeypatch, name, path, block):
+def test_coordinate_gram_matches_the_dense_product(monkeypatch, name, oracle, block):
+    if block:
+        monkeypatch.setattr(sht, "BLOCK_ELEMENTS", block)  # the cubes assigned a few (point, child) pairs at a time
     system = build_cube_system(ORACLE_CLOUDS[name](), 0.5, k_max=8 if name == "five-point" else None)
     basis = build_sht_haar(system)
-    monkeypatch.setattr(sht, "DENSE_GRAM_RATIO", GRAM_PATHS[path])
-    if block:
-        monkeypatch.setattr(sht, "BLOCK_ELEMENTS", block)  # one row per block, a few pairs per sum
-    i, j, g = gram_matrix(basis)
-    count = len(basis.functions)
-    key = i * count + j
-    assert np.all(i <= j) and np.all(np.diff(key) > 0) and np.all(g != 0)  # the upper triangle, in order
-    support = (basis.functions != 0).astype(int)
-    meet = support @ support.T > 0  # the pairs of functions nonzero at a common point
-    assert np.all(meet[i, j])
-    dense = dense_gram(basis)
-    assert not np.any(dense[~meet])  # the dense product is exactly 0 where the supports do not meet
-    G = np.zeros((count, count))
-    G[i, j] = G[j, i] = g
-    np.testing.assert_allclose(G, dense, rtol=0, atol=1e-14)
+    rng = np.random.default_rng(len(name))
+    # the built basis, and one whose amplitudes are off, so that no function has mean zero
+    skewed = replace(basis, a=basis.a * rng.uniform(0.5, 2.0, basis.a.size), b=-basis.b)
+    for case in (basis, skewed):
+        S, mu = system_rows(case), system.cloud.mass
+        G = GRAM_ORACLES[oracle](S, mu)
+        diag, off = gram_matrix(case)
+        np.testing.assert_allclose(diag, np.diag(G)[case.top_cubes:], rtol=0, atol=1e-14)
+        # per function, the largest entry over the functions before it: together with
+        # symmetry these are all entries off the diagonal
+        earlier = np.max(np.abs(np.triu(G, 1)), axis=0, initial=0.0)[case.top_cubes:]
+        np.testing.assert_allclose(off, earlier, rtol=0, atol=1e-14)
+        assert abs(gram_error(case) - np.max(np.abs(G - np.eye(len(G))), initial=0.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("path", GRAM_PATHS)
-def test_gram_of_a_cube_whose_points_are_all_children_stays_in_blocks(tmp_path, monkeypatch, path):
+@pytest.mark.parametrize("oracle", GRAM_ORACLES)
+def test_gram_of_a_cube_whose_points_are_all_children_stays_in_blocks(tmp_path, oracle):
     n = 200
     cloud_csv = tmp_path / "equidistant.csv"
     cloud_csv.write_text("id_i,id_j,distance\n" + "".join(f"{a},{b},0.9\n" for a in range(n) for b in range(a)))
     system = build_cube_system(QuasiMetricCloud.from_csv(cloud_csv), 0.5)
     assert [len(c) for c in system.centers] == [1, n]  # one cube with n children
     basis = build_sht_haar(system)
-    alive = np.count_nonzero(basis.functions, axis=0)
+    alive = np.count_nonzero(haar_rows(basis), axis=0)
     assert int(np.sum(alive.astype(np.int64) ** 2)) > 2_500_000  # pairs of values at a point: about n^3 / 3
-    monkeypatch.setattr(sht, "DENSE_GRAM_RATIO", GRAM_PATHS[path])
-    monkeypatch.setattr(sht, "BLOCK_ELEMENTS", 4096)
     tracemalloc.start()
     try:
         err = gram_error(basis)
@@ -429,39 +465,48 @@ def test_gram_of_a_cube_whose_points_are_all_children_stays_in_blocks(tmp_path, 
     finally:
         tracemalloc.stop()
     assert err <= 1e-12
-    # the Haar array is 0.3 MB and the upper triangle of G about 0.5 MB in
-    # coordinate form; one array per pair would need 20 MB
+    # the dense Haar array would be 0.3 MB and one array per pair of values 20 MB
     assert peak < 3e6
+    G = GRAM_ORACLES[oracle](system_rows(basis), system.cloud.mass)
+    assert abs(err - np.max(np.abs(G - np.eye(len(G))), initial=0.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("path", GRAM_PATHS)
-@pytest.mark.parametrize("mutation", ["flip-one-sign", "scale-one-row", "zero-one-row"])
-def test_gram_error_catches_a_broken_haar_function(tmp_path, monkeypatch, mutation, path):
+def write_cloud(path, kind):
+    """A cloud whose functions share few points ("pairs"), or one cube of 32
+    equidistant children whose Gram matrix is dense ("products")."""
+    if kind == "pairs":
+        xy = np.random.default_rng(12).random((64, 2))
+        path.write_text("id,x,y\n" + "".join(f"{k},{x!r},{y!r}\n" for k, (x, y) in enumerate(xy.tolist())))
+    else:
+        path.write_text("id_i,id_j,distance\n" + "".join(f"{a},{b},0.9\n" for a in range(32) for b in range(a)))
+
+
+@pytest.mark.parametrize("kind", ["pairs", "products"])
+@pytest.mark.parametrize("mutation", ["flip-one-sign", "scale-one-a", "zero-one-row", "move-one-mid"])
+def test_gram_error_catches_a_broken_haar_function(tmp_path, monkeypatch, mutation, kind):
     from dyadlab.experiments import ExperimentConfig, run
 
     cloud_csv = tmp_path / "cloud.csv"
-    xy = np.random.default_rng(12).random((64, 2))
-    cloud_csv.write_text("id,x,y\n" + "".join(f"{k},{x!r},{y!r}\n" for k, (x, y) in enumerate(xy.tolist())))
+    write_cloud(cloud_csv, kind)
     build = sht.build_sht_haar
 
     def broken(system):
         basis = build(system)
-        H = basis.functions
-        point = int(np.argmax(np.count_nonzero(H, axis=0)))  # the point most functions share
-        row = int(np.flatnonzero(H[:, point])[-1])
+        f = int(np.argmax(basis.end - basis.start))  # the widest function: its mid can move either way
         if mutation == "flip-one-sign":
-            H[row, point] = -H[row, point]
-        elif mutation == "scale-one-row":
-            H[row] *= 1.0 + 1e-8
+            basis.a[f] = -basis.a[f]
+        elif mutation == "scale-one-a":
+            basis.a[f] *= 1.0 + 1e-8
+        elif mutation == "zero-one-row":
+            basis.a[f] = basis.b[f] = 0.0
         else:
-            H[row] = 0.0
+            basis.mid[f] += 1 if basis.end[f] - basis.mid[f] > 1 else -1
         return basis
 
     def reported_gram_error():
         rows = run(ExperimentConfig(experiment="sht", cloud=str(cloud_csv)))["rows"]
         return next(r["value"] for r in rows if r["quantity"] == "gram_error")
 
-    monkeypatch.setattr(sht, "DENSE_GRAM_RATIO", GRAM_PATHS[path])
     assert reported_gram_error() <= 1e-12
     monkeypatch.setattr(sht, "build_sht_haar", broken)
     assert reported_gram_error() > 1e-10
@@ -511,6 +556,7 @@ def test_projection_formula():
     cloud = planar_cloud(256, 9, mass=True)
     system = build_cube_system(cloud, 0.5)
     basis = build_sht_haar(system)
+    H = haar_rows(basis)
     rng = np.random.default_rng(4)
     f = rng.standard_normal(cloud.n)
     mu = cloud.mass
@@ -520,7 +566,7 @@ def test_projection_formula():
             kids = system.children(level, cube)
             if kids.size < 2:
                 continue
-            rows = basis.functions[(basis.level == level) & (basis.cube == cube)]
+            rows = H[(basis.level == level) & (basis.cube == cube)]
             proj = rows @ (f * mu) @ rows
             qpts = system.cube_points(level, cube)
             favg_q = np.sum(f[qpts] * mu[qpts]) / np.sum(mu[qpts])

@@ -42,3 +42,13 @@ def test_measured_arguments_are_in_the_signature(module, path, arguments):
     # the tracer's _MEASURES bind each call's arguments and read these by name
     assert tracing.TRACED[(module, path)] in tracing._MEASURES
     assert arguments <= set(inspect.signature(resolve(module, path)).parameters)
+
+
+def test_basis_size_is_measured_on_a_built_basis():
+    # the tracer's sht.basis_mb reads the result's `functions` and `system.cloud.n`
+    from dyadlab.sht import QuasiMetricCloud, build_cube_system, build_sht_haar
+
+    basis = build_sht_haar(build_cube_system(QuasiMetricCloud.from_points([[0.0, 0.0], [0.3, 0.0], [0.0, 0.6]])))
+    tracer = tracing.Tracer()
+    tracing._MEASURES["sht.build_sht_haar"](tracer, {}, basis)
+    assert tracer.counts["sht.basis_mb"] == 2 * 3 * 8 / tracing.MB
