@@ -53,8 +53,20 @@ def _overrides(args) -> dict:
     return over
 
 
+def _bind_list_values(argv) -> list[str]:
+    """`--alphas -0.5,0.5` as `--alphas=-0.5,0.5`: argparse takes a token
+    that starts with '-' and holds a comma for a flag, not a value."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--alphas", "--margins"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_bind_list_values(sys.argv[1:] if argv is None else argv))
     try:
         overrides = _overrides(args)
         if args.config:

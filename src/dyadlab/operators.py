@@ -9,6 +9,7 @@ exact on the mean-zero subspace of the truncated system.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -191,13 +192,7 @@ class ShiftCoefficients:
 
 
 def haar_shift(f: StepFunction, coeffs: ShiftCoefficients) -> StepFunction:
-    s = analyze(f)
-    out = [np.zeros(1 << l) for l in range(f.mesh.depth)]
-    for l, table in enumerate(coeffs.tables):
-        src = s.levels[l + coeffs.m].reshape(1 << l, 1 << coeffs.m)
-        # with m = 0 the contraction is a plain product, which einsum computes about 1.5x slower
-        out[l + coeffs.n] = (table[:, 0] * src if coeffs.m == 0 else np.einsum("qij,qi->qj", table, src)).ravel()
-    return synthesize(HaarSpectrum(f.mesh, 0.0, out))
+    return StepFunction(f.mesh, LinearOperator(f.mesh, "haar", coeffs, "haar").apply(f.values))
 
 
 # -- paraproducts and commutators --------------------------------------------
@@ -205,18 +200,12 @@ def haar_shift(f: StepFunction, coeffs: ShiftCoefficients) -> StepFunction:
 
 def paraproduct(b: StepFunction, f: StepFunction) -> StepFunction:
     """pi_b f = sum <f>_I <b,h_I> h_I."""
-    sb = analyze(b)
-    mf = means_pyramid(f)
-    out = [sb.levels[l] * mf[l] for l in range(f.mesh.depth)]
-    return synthesize(HaarSpectrum(f.mesh, 0.0, out))
+    return StepFunction(f.mesh, LinearOperator(f.mesh, "means", analyze(b).levels, "haar").apply(f.values))
 
 
 def paraproduct_adjoint(b: StepFunction, f: StepFunction) -> StepFunction:
     """pi*_b f = sum <b,h_I> <f,h_I> 1_I / |I|."""
-    mesh = f.mesh
-    sb, sf = analyze(b), analyze(f)
-    levels = [cb * cf / mesh.level_length(l) for l, (cb, cf) in enumerate(zip(sb.levels, sf.levels))]
-    return StepFunction(mesh, broadcast([*levels, np.zeros(mesh.n_cells)], np.add))
+    return StepFunction(f.mesh, LinearOperator(f.mesh, "haar", analyze(b).levels, "means").apply(f.values))
 
 
 def product_decomposition(b: StepFunction, f: StepFunction):
@@ -523,11 +512,49 @@ def sparse_commutator_adjoint(family, b: StepFunction, f: StepFunction) -> StepF
 
 @dataclass
 class LinearOperator:
-    """A linear map on cell-value arrays with a known plain-L^2 adjoint."""
+    """T g = A_target* D A_source g on cell-value arrays, or b T g - T(b g)
+    with a pointwise `symbol` b.  A_"haar" takes <g,h_I> on levels 0..J-1
+    (adjoint: Haar synthesis), A_"means" takes <g>_I on levels 0..J
+    (adjoint: c -> sum c_I / |I| 1_I).  D is a `ShiftCoefficients` table or
+    one array per level.  The adjoint `transposed`, built once per handle,
+    swaps source and target, transposes a table and negates the symbol, as
+    (bT - Tb)* = (-b)T* - T*(-b); the cell length cancels in each pairing,
+    so it is the exact plain-L^2 adjoint."""
 
     mesh: Mesh
-    apply: callable
-    adjoint: callable
+    source: str
+    coeffs: ShiftCoefficients | list[np.ndarray]
+    target: str
+    symbol: np.ndarray | None = None
+
+    @functools.cached_property
+    def transposed(self) -> "LinearOperator":
+        d = self.coeffs.transpose() if isinstance(self.coeffs, ShiftCoefficients) else self.coeffs
+        return LinearOperator(self.mesh, self.target, d, self.source, None if self.symbol is None else -self.symbol)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        b = self.symbol
+        return self._map(values) if b is None else b * self._map(values) - self._map(b * values)
+
+    def adjoint(self, values: np.ndarray) -> np.ndarray:
+        return self.transposed.apply(values)
+
+    def _map(self, values: np.ndarray) -> np.ndarray:
+        mesh, d = self.mesh, self.coeffs
+        f = StepFunction(mesh, values)
+        c = analyze(f).levels if self.source == "haar" else means_pyramid(f)
+        if isinstance(d, ShiftCoefficients):
+            out = [np.zeros(1 << l) for l in range(mesh.depth)]
+            for l, table in enumerate(d.tables):
+                src = c[l + d.m].reshape(1 << l, 1 << d.m)
+                # with m = 0 the contraction is a plain product, which einsum computes about 1.5x slower
+                out[l + d.n] = (table[:, 0] * src if d.m == 0 else np.einsum("qij,qi->qj", table, src)).ravel()
+        else:
+            out = [x * y for x, y in zip(d, c)]
+        if self.target == "haar":
+            return synthesize(HaarSpectrum(mesh, 0.0, out[: mesh.depth])).values
+        out = [x / mesh.level_length(l) for l, x in enumerate(out)]
+        return broadcast([*out, np.zeros(mesh.n_cells)][: mesh.depth + 1], np.add)
 
 
 def positive_dyadic_operator(seq) -> LinearOperator:
@@ -535,20 +562,11 @@ def positive_dyadic_operator(seq) -> LinearOperator:
 
     Self-adjoint on plain L^2 since <T_0 f, g> = sum lambda_I <f>_I <g>_I.
     """
-    mesh = seq.mesh
-    weights_by_level = [seq.levels[l] / mesh.level_length(l) for l in range(mesh.depth + 1)]
-
-    def apply(values):
-        pyr = means_pyramid(StepFunction(mesh, values))
-        return broadcast([lam * m for lam, m in zip(weights_by_level, pyr)], np.add)
-
-    return LinearOperator(mesh, apply, apply)
+    return LinearOperator(seq.mesh, "means", seq.levels, "means")
 
 
 def dense_matrix(op: LinearOperator) -> np.ndarray:
-    n = op.mesh.n_cells
-    cols = [op.apply(col) for col in np.eye(n)]
-    return np.array(cols).T
+    return np.array([op.apply(col) for col in np.eye(op.mesh.n_cells)]).T
 
 
 def operator_norm_weighted(
@@ -611,15 +629,8 @@ def square_norm_weighted(w: StepFunction, iters: int = 10 ** 4, tol: float = 1e-
     self-adjoint multiplier M f = sum sqrt(<w>_I) <f,h_I> h_I, so
     ||S^D||_{L^2(w)} = ||M||_{L^2(w) -> L^2}.
     """
-    mesh = w.mesh
-    roots = [np.sqrt(m) for m in means_pyramid(w)]
-
-    def apply(g):
-        s = analyze(StepFunction(mesh, g))
-        return synthesize(HaarSpectrum(mesh, 0.0, [c * r for c, r in zip(s.levels, roots)])).values
-
-    op = LinearOperator(mesh, apply, apply)
-    return operator_norm_two_weight(op, w, StepFunction(mesh, np.ones(mesh.n_cells)), iters, tol, seed)
+    op = LinearOperator(w.mesh, "haar", [np.sqrt(m) for m in means_pyramid(w)], "haar")
+    return operator_norm_two_weight(op, w, StepFunction(w.mesh, np.ones(w.mesh.n_cells)), iters, tol, seed)
 
 
 def shift_complexity(name: str) -> tuple[int, int] | None:
@@ -639,15 +650,12 @@ def named_operator(
 ) -> LinearOperator:
     """CLI-facing operator handles; see the README table for the names.
 
-    Shift tables are built once per handle, never per application."""
+    Shift tables and b's Haar coefficients are built once per handle."""
     if name in ("paraproduct", "paraproduct_adj", "commutator_sha") and b is None:
         raise ValueError(f"{name} needs a symbol b")
     if name in ("paraproduct", "paraproduct_adj"):
-        fwd = lambda g: paraproduct(b, StepFunction(mesh, g)).values
-        adj = lambda g: paraproduct_adjoint(b, StepFunction(mesh, g)).values
-        if name == "paraproduct_adj":
-            fwd, adj = adj, fwd
-        return LinearOperator(mesh, fwd, adj)
+        op = LinearOperator(mesh, "means", analyze(b).levels, "haar")
+        return op if name == "paraproduct" else op.transposed
     if name == "sparse":
         if family is None:
             raise ValueError("sparse needs a family")
@@ -662,12 +670,4 @@ def named_operator(
         coeffs = ShiftCoefficients.random(mesh, *complexity, np.random.default_rng(0))
     else:
         raise ValueError(f"unknown operator name {name!r}")
-    transposed = coeffs.transpose()
-    fwd = lambda g: haar_shift(StepFunction(mesh, g), coeffs).values
-    adj = lambda g: haar_shift(StepFunction(mesh, g), transposed).values
-    if name == "commutator_sha":
-        # [b, Sha] g = b Sha g - Sha(b g); its adjoint is Sha*(b g) - b Sha* g
-        sha, sha_adj = fwd, adj
-        fwd = lambda g: b.values * sha(g) - sha(b.values * g)
-        adj = lambda g: sha_adj(b.values * g) - b.values * sha_adj(g)
-    return LinearOperator(mesh, fwd, adj)
+    return LinearOperator(mesh, "haar", coeffs, "haar", b.values if name == "commutator_sha" else None)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DegenerateWeightError
 
-# the most elements one block of `assign_cubes` or `CubeSystem.verify` holds:
+# the most elements one block of `assign_cubes`, `CubeSystem.verify` or a
+# points cloud's distance build holds:
 # the 2^20 of operators' block caps, kept apart so that sht imports none of
 # the signal modules and its tests can shrink it alone
 BLOCK_ELEMENTS = 1 << 20
@@ -45,7 +46,8 @@ class QuasiMetricCloud:
         if n == 0 or not (np.all(np.isfinite(self.dist)) and np.all(np.isfinite(self.mass))):
             raise ValueError("a cloud needs at least one point, finite distances and finite masses")
         d = self.dist  # zero exactly on the diagonal: no duplicate points, no missing pairs
-        if not (np.array_equal(d, d.T) and np.all(d >= 0) and np.array_equal(d > 0, ~np.eye(n, dtype=bool))):
+        zero_only_on_diagonal = not np.diagonal(d).any() and np.count_nonzero(d) == n * n - n  # no n x n temporary
+        if not (np.array_equal(d, d.T) and np.all(d >= 0) and zero_only_on_diagonal):
             raise ValueError("a cloud's distances must be symmetric, zero on the diagonal and positive elsewhere")
         if np.min(self.mass) <= 0:
             raise DegenerateWeightError("point masses must be positive")
@@ -75,10 +77,7 @@ class QuasiMetricCloud:
     @classmethod
     def from_points(cls, xy: np.ndarray, mass=None) -> "QuasiMetricCloud":
         xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        dist = sum((x[:, None] - x[None, :]) ** 2 for x in xy.T)  # one n x n block per coordinate
-        np.sqrt(dist, out=dist)
-        n = xy.shape[0]
-        return cls(dist, np.ones(n) if mass is None else mass, A0=1.0)
+        return cls(_euclidean_distances(xy), np.ones(xy.shape[0]) if mass is None else mass, A0=1.0)
 
     @classmethod
     def from_csv(cls, path) -> "QuasiMetricCloud":
@@ -105,6 +104,21 @@ class QuasiMetricCloud:
             else None
         )
         return cls.from_points(xy, mass)
+
+
+def _euclidean_distances(xy: np.ndarray) -> np.ndarray:
+    """The distance matrix of the rows of xy, built BLOCK_ELEMENTS at a time:
+    each block adds its squared coordinate differences to zeros in coordinate
+    order, the float operations of `sum` over the coordinates."""
+    n = xy.shape[0]
+    dist = np.zeros((n, n))
+    rows = max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
+    work = np.empty((rows, n))  # one block of squared differences, reused
+    for i in range(0, n, rows):
+        block, step = dist[i : i + rows], work[: n - i]
+        for x in xy.T:
+            block += np.square(np.subtract(x[i : i + rows, None], x, out=step), out=step)
+    return np.sqrt(dist, out=dist)
 
 
 def _edge_distances(reader) -> np.ndarray:

@@ -350,9 +350,25 @@ def test_negative_samples_flag_is_a_config_error(capsys, experiment, samples):
 def test_unparsable_flag_is_a_strict_json_config_error(capsys):
     # argparse once printed its usage text
     with pytest.raises(SystemExit) as exc:
-        main(["average-hilbert", "--margins", "-4,-3"])
+        main(["average-hilbert", "--margins"])
     assert exc.value.code == 2
     assert strict_loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["norms", "--depth", "6", "--seed", "0"], "--alphas", "-0.5,0.5"),
+        (["average-hilbert", "--depth", "6", "--samples", "2", "--seed", "0"], "--margins", "-2,3"),
+    ],
+)
+def test_negative_list_values_parse_in_both_forms(capsys, argv, flag, value):
+    # argparse once read a value starting with '-' and holding a comma as a flag: exit 2
+    hashes = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        assert main([*argv, *form]) == 0
+        hashes.append(strict_loads(capsys.readouterr().out)["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_constant_reconstruction_is_a_numeric_error(tmp_path, capsys):

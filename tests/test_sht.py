@@ -146,6 +146,19 @@ def test_constructor_rejects_asymmetry_a_nonzero_diagonal_and_a_zero_distance():
             QuasiMetricCloud(dist, np.ones(3))
 
 
+def test_points_cloud_peaks_at_its_distances_plus_one_block():
+    # summing whole n x n blocks per coordinate once peaked at twice the matrix: 67 MB at 2048 points
+    xy = np.random.default_rng(2048).random((2048, 2))
+    tracemalloc.start()
+    try:
+        cloud = QuasiMetricCloud.from_points(xy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cloud.dist.nbytes + 8 * sht.BLOCK_ELEMENTS + 1e6
+    assert np.array_equal(cloud.dist, np.sqrt(sum((x[:, None] - x[None, :]) ** 2 for x in xy.T)))
+
+
 def per_z_quasi_triangle_constant(d):
     """The largest d_ij / (d_iz + d_zj), one z at a time."""
     worst = 1.0

@@ -52,3 +52,31 @@ def test_basis_size_is_measured_on_a_built_basis():
     tracer = tracing.Tracer()
     tracing._MEASURES["sht.build_sht_haar"](tracer, {}, basis)
     assert tracer.counts["sht.basis_mb"] == 2 * 3 * 8 / tracing.MB
+
+
+@pytest.mark.parametrize("name", ["martingale", "sha", "shift(1,2)", "paraproduct", "paraproduct_adj", "commutator_sha", "sparse"])
+def test_power_steps_count_exactly_the_forward_applies(name):
+    # the tracer's operators.power_steps wraps the handle's `apply`; an adjoint
+    # that went through the wrapped `apply` would be counted as a step too
+    import numpy as np
+
+    from dyadlab.experiments import sweep_mesh, tower_family
+    from dyadlab.operators import named_operator, operator_norm_weighted
+    from dyadlab.signal import StepFunction
+
+    mesh = sweep_mesh(6)
+    b = StepFunction(mesh, np.random.default_rng(1).standard_normal(mesh.n_cells))
+    op = named_operator(name, mesh, b=b, family=tower_family(mesh))
+    calls = {"apply": 0, "adjoint": 0}
+    for method in calls:
+        inner = getattr(op, method)
+
+        def spy(values, method=method, inner=inner):
+            calls[method] += 1
+            return inner(values)
+
+        setattr(op, method, spy)
+    tracer = tracing.Tracer()
+    tracing._MEASURES["operators.named_operator"](tracer, {}, op)
+    operator_norm_weighted(op, tol=1e-10)
+    assert tracer.counts["operators.power_steps"] == calls["apply"] == calls["adjoint"] > 1

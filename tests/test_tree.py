@@ -10,8 +10,10 @@ import pytest
 
 from dyadlab.experiments import sweep_mesh, tower_family, weak_type_witness
 from dyadlab.operators import (
+    LinearOperator,
     ShiftCoefficients,
     SignSymbol,
+    dense_matrix,
     haar_shift,
     maximal_dyadic,
     mean_oscillation,
@@ -202,6 +204,35 @@ def test_handle_adjoint_dot_test(name, depth):
     lhs, rhs = float(np.dot(tf, g)), float(np.dot(f, tg))
     scale = np.linalg.norm(tf) * np.linalg.norm(g) + np.linalg.norm(f) * np.linalg.norm(tg)
     assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
+
+
+RULE_CASES = [(src, tgt, sym) for src in ("haar", "means") for tgt in ("haar", "means") for sym in (False, True)]
+
+
+@pytest.mark.parametrize("case", [*RULE_CASES, "sqrt_w"])
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_adjoint_rule_on_every_source_target_pair(case, depth):
+    """The transposed operator is the plain-L^2 adjoint for random per-level
+    D on each (source, target) pair, with and without a symbol, and for the
+    multiplier by sqrt(<w>_I) that square_norm_weighted iterates."""
+    mesh = sweep_mesh(depth)
+    rng = np.random.default_rng(depth)
+    if case == "sqrt_w":
+        w = StepFunction(mesh, np.exp(rng.uniform(-2, 2, mesh.n_cells)))
+        op = LinearOperator(mesh, "haar", [np.sqrt(m) for m in means_pyramid(w)], "haar")
+    else:
+        source, target, with_symbol = case
+        coeffs = [rng.standard_normal(1 << l) for l in range(depth + 1)]
+        symbol = rng.standard_normal(mesh.n_cells) if with_symbol else None
+        op = LinearOperator(mesh, source, coeffs, target, symbol)
+    f, g = rng.standard_normal(mesh.n_cells), rng.standard_normal(mesh.n_cells)
+    tf, tg = op.apply(f), op.adjoint(g)
+    lhs, rhs = float(np.dot(tf, g)), float(np.dot(f, tg))
+    scale = np.linalg.norm(tf) * np.linalg.norm(g) + np.linalg.norm(f) * np.linalg.norm(tg)
+    assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
+    if depth <= 6:
+        mat = dense_matrix(op)
+        np.testing.assert_allclose(dense_matrix(op.transposed), mat.T, rtol=0, atol=1e-13 * np.abs(mat).max())
 
 
 def test_sha_on_a_depth_one_mesh_is_zero():
