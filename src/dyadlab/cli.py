@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 config error, 3 numeric/convergence error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -19,6 +20,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged, and building it costs milliseconds
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dyadlab",

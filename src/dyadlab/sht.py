@@ -19,11 +19,13 @@ import numpy as np
 
 from .errors import DegenerateWeightError
 
-# the most elements one block of `assign_cubes`, `CubeSystem.verify` or a
-# points cloud's distance build holds:
-# the 2^20 of operators' block caps, kept apart so that sht imports none of
-# the signal modules and its tests can shrink it alone
-BLOCK_ELEMENTS = 1 << 20
+# the most elements one block holds in a points cloud's distance build, the
+# constructor's symmetry check, `assign_cubes`, `CubeSystem.verify` and the
+# Haar build's remainder sums: 2^15 doubles stay in cache (measured fastest
+# of 2^12..2^20 at 1024 and 4096 points), kept apart from operators' block
+# caps so that sht imports none of the signal modules and its tests can
+# shrink it alone
+BLOCK_ELEMENTS = 1 << 15
 MAX_CLOUD_POINTS = 4096  # the largest cloud a file may hold: `sht` keeps n x n distances
 
 
@@ -43,11 +45,12 @@ class QuasiMetricCloud:
         if self.mass is None:
             self.mass = np.ones(n)
         self.mass = np.asarray(self.mass, dtype=float)
-        if n == 0 or not (np.all(np.isfinite(self.dist)) and np.all(np.isfinite(self.mass))):
+        d = self.dist  # its checks make no n x n temporary: a NaN or an infinity shows in the min or the max
+        if n == 0 or not (math.isfinite(low := d.min()) and math.isfinite(d.max()) and np.all(np.isfinite(self.mass))):
             raise ValueError("a cloud needs at least one point, finite distances and finite masses")
-        d = self.dist  # zero exactly on the diagonal: no duplicate points, no missing pairs
-        zero_only_on_diagonal = not np.diagonal(d).any() and np.count_nonzero(d) == n * n - n  # no n x n temporary
-        if not (np.array_equal(d, d.T) and np.all(d >= 0) and zero_only_on_diagonal):
+        # zero exactly on the diagonal: no duplicate points, no missing pairs
+        zero_only_on_diagonal = not np.diagonal(d).any() and np.count_nonzero(d) == n * n - n
+        if not (_symmetric(d) and low >= 0 and zero_only_on_diagonal):
             raise ValueError("a cloud's distances must be symmetric, zero on the diagonal and positive elsewhere")
         if np.min(self.mass) <= 0:
             raise DegenerateWeightError("point masses must be positive")
@@ -104,6 +107,17 @@ class QuasiMetricCloud:
             else None
         )
         return cls.from_points(xy, mass)
+
+
+def _symmetric(d: np.ndarray) -> bool:
+    """d == d.T, compared in square tiles of about BLOCK_ELEMENTS entries, so
+    that the transposed tile is read from cache and not by a stride of n."""
+    side = math.isqrt(BLOCK_ELEMENTS)
+    return all(
+        np.array_equal(d[i:i + side, j:j + side], d[j:j + side, i:i + side].T)
+        for i in range(0, len(d), side)
+        for j in range(i, len(d), side)
+    )
 
 
 def _euclidean_distances(xy: np.ndarray) -> np.ndarray:
@@ -188,26 +202,28 @@ def build_nets(cloud: QuasiMetricCloud, delta: float, k_max: int | None = None):
     Level k candidates are the previous centers first (so nets are nested),
     then the remaining points in id order.  Auto mode extends k until every
     point is a center (all cubes become singletons) or 64 levels.
+
+    The previous centers are pairwise at least delta^(k-1) >= delta^k apart,
+    so each of them stays a center, and `dmin`, every point's distance to
+    the nearest center so far, carries over from the level before.  Only a
+    point with dmin >= delta^k can still join, so the greedy scan visits
+    those alone, in id order.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0,1)")
     if cloud.n == 0:
         raise ValueError("empty cloud")
     nets = []
-    prev: list[int] = []
+    centers: list[int] = []
+    dmin = np.full(cloud.n, np.inf)
     limit = k_max + 1 if k_max is not None else 64
     for k in range(limit):
         radius = delta ** k
-        seen = set(prev)
-        order = list(prev) + [i for i in range(cloud.n) if i not in seen]
-        centers: list[int] = []
-        dmin = np.full(cloud.n, np.inf)
-        for pid in order:
+        for pid in np.flatnonzero(dmin >= radius).tolist():
             if dmin[pid] >= radius:
                 centers.append(pid)
-                dmin = np.minimum(dmin, cloud.dist[pid])
+                np.minimum(dmin, cloud.dist[pid], out=dmin)
         nets.append(np.array(centers))
-        prev = centers
         if k_max is None and len(centers) == cloud.n:
             break
     return nets
@@ -238,12 +254,15 @@ class CubeSystem:
 
         Point p lies in cube a[p] and in no other, so the outer constant
         reads the n distances dist[cs[a[p]], p], and the inner one the rows
-        dist[cs] with those n entries set to inf, BLOCK_ELEMENTS at a time.
+        dist[cs] with those n entries set to inf, BLOCK_ELEMENTS at a time into
+        one reused buffer.  The rows are read with mode="clip": every center
+        of a non-empty cube was already indexed by the outer constant.
         """
         report = {"partition_ok": True, "nested_ok": True}
         inner, outer = math.inf, 0.0
         dist = self.cloud.dist
         rows = max(1, BLOCK_ELEMENTS // self.cloud.n)
+        buf = np.empty((rows, self.cloud.n))
         for level, (cs, a) in enumerate(zip(self.centers, self.assignment)):
             k = len(cs)
             inside = (a >= 0) & (a < k)
@@ -255,9 +274,11 @@ class CubeSystem:
             own = a[pts]
             scale = self.delta ** level
             outer = max(outer, float(np.max(dist[cs[own], pts], initial=0.0)) / scale)
+            by_cube, first = _grouped(own, k)
             for lo in range(0, k, rows):
-                block = dist[cs[lo:lo + rows]]
-                mine = (own >= lo) & (own < lo + rows)
+                hi = min(k, lo + rows)
+                block = np.take(dist, cs[lo:hi], axis=0, out=buf[:hi - lo], mode="clip")
+                mine = by_cube[first[lo]:first[hi]]  # the points of these cubes
                 block[own[mine] - lo, pts[mine]] = np.inf
                 inner = min(inner, float(np.min(block, initial=math.inf)) / scale)
         a0 = self.cloud.A0
@@ -277,6 +298,11 @@ def _chunks(sizes: np.ndarray):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + BLOCK_ELEMENTS, "right")))
         yield lo, hi
         lo = hi
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[g]:starts[g] + lengths[g], concatenated."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
 def _grouped(labels: np.ndarray, k: int):
@@ -312,7 +338,7 @@ def assign_cubes(nets, cloud: QuasiMetricCloud, delta: float) -> CubeSystem:
         for lo, hi in _chunks(reps):
             p, r = choose[lo:hi], reps[lo:hi]
             seg = np.cumsum(r) - r  # each point's first pair
-            c = kids[np.repeat(start[up[p]] - seg, r) + np.arange(seg[-1] + r[-1])]
+            c = kids[_ranges(start[up[p]], r)]
             d = cloud.dist[cs[c], np.repeat(p, r)]
             hit = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, seg), r))
             owner = np.repeat(np.arange(p.size), r)[hit]
@@ -360,6 +386,30 @@ class SHTHaarSystem:
         return self.a.size
 
 
+def _row_sums(values: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per segment g, values[flat[starts[g]:starts[g] + lengths[g]]].sum() to
+    the bit.  The segments of one length m are summed as the rows of one
+    (count x m) gather, which numpy reduces row by row in the pairwise order
+    of a 1-D sum; `np.add.reduceat` adds left to right and differs."""
+    out = np.empty(lengths.size)
+    for m in np.flatnonzero(np.bincount(lengths)):  # each length that occurs
+        group = np.flatnonzero(lengths == m)
+        out[group] = values[flat[starts[group, None] + np.arange(m)]].sum(axis=1)
+    return out
+
+
+def _amplitudes(m_plus: np.ndarray, m_minus: np.ndarray, shift: int):
+    """a = sqrt(m- / (m m+)) and b = sqrt(m+ / (m m-)), m = m+ + m-, scaled by
+    2^(-shift): the float operations of `math.sqrt` and `math.ldexp`, and a
+    zero divisor raises as a Python float division does."""
+    m_all = m_plus + m_minus
+    if not (np.all(m_all * m_plus) and np.all(m_all * m_minus)):
+        raise ZeroDivisionError("float division by zero")
+    with np.errstate(over="ignore"):  # inf, as a Python float overflows
+        return (np.ldexp(np.sqrt(m_minus / (m_all * m_plus)), -shift),
+                np.ldexp(np.sqrt(m_plus / (m_all * m_minus)), -shift))
+
+
 def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
     """Peeling construction of the Haar functions, one fewer than children.
 
@@ -370,48 +420,50 @@ def build_sht_haar(system: CubeSystem) -> SHTHaarSystem:
     normalization and mean zero.  Every cube keeps its own center one level
     down, so each level adds (children - cubes) functions.
 
-    The point order lists each cube's children in peeling order, so each
-    child and each E^{i+1} is one run; `first` is each cube's first place.
-    The masses are scaled by the 2^(-2k) that brings their total near 1, and
-    a and b back by 2^(-k), both exact: same bits, and no mass product underflows."""
+    One level at a time: the children of every cube are sorted into peeling
+    order at once, and the masses of the children and of the remainders
+    E^{i+1} are summed over their points in increasing id, as a per-cube
+    loop would sum them.  The remainders are read BLOCK_ELEMENTS cube points
+    at a time.  The point order lists each cube's children in peeling order,
+    so each child and each E^{i+1} is one run; `first` is each cube's first
+    place.  The masses are scaled by the 2^(-2k) that brings their total near
+    1, and a and b back by 2^(-k), both exact: same bits, and no mass product
+    underflows."""
     shift = math.frexp(float(np.sum(system.cloud.mass)))[1] // 2
     mu = np.ldexp(system.cloud.mass, -2 * shift)
-    count = len(system.centers[-1]) - len(system.centers[0])
-    a, b = np.zeros(count), np.zeros(count)
-    runs = np.zeros((count, 5), dtype=int)  # per function: start, mid, end, level, cube
-    first = _grouped(system.assignment[0], len(system.centers[0]))[1][:-1]
-    row = 0
+    inside, cube_start = _grouped(system.assignment[0], len(system.centers[0]))
+    first = cube_start[:-1]
+    parts = [(np.zeros(0, dtype=int),) * 5 + (np.zeros(0),) * 2]  # per level: start, mid, end, level, cube, a, b
     for level in range(system.n_levels - 1):
         below, parent = system.assignment[level + 1], system.parent[level + 1]
-        cubes = len(system.centers[level])
-        inside, cube_start = _grouped(system.assignment[level], cubes)
         points, kid_start = _grouped(below, parent.size)
-        kids_of, start = _grouped(parent, cubes)
-        offset = np.zeros(parent.size, dtype=int)  # each child's first place in its cube's run
-        for cube in np.flatnonzero(np.diff(start) > 1):  # a cube with one child waits until it subdivides
-            kids = kids_of[start[cube]:start[cube + 1]]
-            masses = np.array([mu[points[kid_start[k]:kid_start[k + 1]]].sum() for k in kids])
-            if np.any(masses <= 0):
-                raise DegenerateWeightError("child cube with zero mass")
-            peel = sorted(range(kids.size), key=lambda i: (-masses[i], -kids[i]))
-            sizes = np.diff(kid_start)[kids[peel]]
-            offset[kids[peel]] = np.cumsum(sizes) - sizes
-            rem = inside[cube_start[cube]:cube_start[cube + 1]]  # every index list ascends
-            end = first[cube] + rem.size
-            for oi, size in zip(peel[:-1], sizes.tolist()):
-                minus = rem[below[rem] != kids[oi]]
-                m_plus = float(masses[oi])
-                m_minus = float(mu[minus].sum())
-                m_all = m_plus + m_minus
-                a[row] = math.ldexp(math.sqrt(m_minus / (m_all * m_plus)), -shift)
-                b[row] = math.ldexp(math.sqrt(m_plus / (m_all * m_minus)), -shift)
-                lo = first[cube] + offset[kids[oi]]
-                runs[row] = lo, lo + size, end, level, cube
-                row += 1
-                rem = minus
-        first = first[parent] + offset
+        size, cube_size = np.diff(kid_start), np.diff(cube_start)
+        count = np.bincount(parent, minlength=cube_size.size)  # children per cube
+        split = np.flatnonzero(count[parent] > 1)  # a cube with one child waits until it subdivides
+        mass = np.zeros(parent.size)
+        mass[split] = _row_sums(mu, points, kid_start[split], size[split])
+        if np.any(mass[split] <= 0):
+            raise DegenerateWeightError("child cube with zero mass")
+        kids = np.lexsort((-np.arange(parent.size), -mass, parent))  # cube by cube, in peeling order
+        before = np.cumsum(size[kids]) - size[kids]  # the points of the cubes and children before
+        offset, rank = np.empty_like(before), np.empty_like(before)
+        offset[kids] = before - cube_start[parent[kids]]  # each child's first place in its cube's run
+        rank[kids] = np.arange(kids.size) - (np.cumsum(count) - count)[parent[kids]]
+        kid = kids[rank[kids] < count[parent[kids]] - 1]  # every child but the last peeled
+        cube = parent[kid]
+        start = first[cube] + offset[kid]
+        mid, end = start + size[kid], first[cube] + cube_size[cube]
+        m_minus, peeled = np.empty(kid.size), rank[below]  # per point, its child's peeling rank
+        for lo, hi in _chunks(cube_size[cube]):
+            c, left = cube[lo:hi], (end - mid)[lo:hi]
+            pts = inside[_ranges(cube_start[c], cube_size[c])]  # each function's cube, in id order
+            rest = pts[peeled[pts] > np.repeat(rank[kid[lo:hi]], cube_size[c])]  # E^{i+1}: a later peeling rank
+            m_minus[lo:hi] = _row_sums(mu, rest, np.cumsum(left) - left, left)
+        parts.append((start, mid, end, np.full(kid.size, level), cube, *_amplitudes(mass[kid], m_minus, shift)))
+        first, inside, cube_start = first[parent] + offset, points, kid_start
+    start, mid, end, level, cube, a, b = map(np.concatenate, zip(*parts))
     order = np.argsort(first[system.assignment[-1]], kind="stable")
-    return SHTHaarSystem(system, order, *np.ascontiguousarray(runs.T), a, b, top_cubes=len(system.centers[0]))
+    return SHTHaarSystem(system, order, start, mid, end, level, cube, a, b, top_cubes=len(system.centers[0]))
 
 
 def _run_sums(values: np.ndarray, basis: SHTHaarSystem):
@@ -449,8 +501,11 @@ def gram_matrix(basis: SHTHaarSystem) -> tuple[np.ndarray, np.ndarray]:
     Each g is constant on the support of each later f that it meets, so G_gf
     is h_g there times a m+ - b m-, and disjoint supports give exact zeros.
     The largest |h_g| over the earlier g is read at order[start[f]] in one
-    coarse-to-fine sweep.  The indicators come first so that every
-    function's mean is checked, also one with no Haar function over it."""
+    coarse-to-fine sweep, in rounds of one level and one peeling rank: the
+    functions of a round lie in distinct cubes of one level, so their runs
+    are disjoint and the round reads and raises `high` at once.  The
+    indicators come first so that every function's mean is checked, also one
+    with no Haar function over it."""
     mu = basis.system.cloud.mass
     plus, minus = _run_sums(mu, basis)
     a, b = np.abs(basis.a), np.abs(basis.b)
@@ -458,10 +513,17 @@ def gram_matrix(basis: SHTHaarSystem) -> tuple[np.ndarray, np.ndarray]:
     top = basis.system.assignment[0]
     high = (1.0 / np.sqrt(np.bincount(top, mu, basis.top_cubes)))[top[basis.order]]  # per place in `order`
     above = np.empty(a.size)
-    for f, (s, m, e) in enumerate(zip(basis.start.tolist(), basis.mid.tolist(), basis.end.tolist())):
-        above[f] = high[s]
-        np.maximum(high[s:m], a[f], out=high[s:m])
-        np.maximum(high[m:e], b[f], out=high[m:e])
+    f = np.arange(a.size)
+    new_cube = np.diff(basis.level, prepend=-1) | np.diff(basis.cube, prepend=-1)  # a cube's functions are consecutive
+    rank = f - np.maximum.accumulate(np.where(new_cube != 0, f, 0))
+    rounds = np.lexsort((rank, basis.level))
+    cut = np.flatnonzero(np.diff(basis.level[rounds]) | np.diff(rank[rounds])) + 1
+    for fs in np.split(rounds, cut):
+        s, m, e = basis.start[fs], basis.mid[fs], basis.end[fs]
+        above[fs] = high[s]
+        lengths = np.column_stack([m - s, e - m]).ravel()
+        at = _ranges(np.column_stack([s, m]).ravel(), lengths)
+        high[at] = np.maximum(high[at], np.repeat(np.column_stack([a[fs], b[fs]]).ravel(), lengths))
     return diag, np.abs(basis.a * plus - basis.b * minus) * above
 
 

@@ -5,6 +5,9 @@ traceback or NaN; a fuzz test drives every experiment with arbitrary flags."""
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -289,6 +292,16 @@ def test_cloud_masses_far_from_one_run(tmp_path, capsys, mass):
     assert quantities["basis_size"] == 2 and quantities["gram_error"] <= 1e-12
 
 
+def test_cube_mass_product_underflowing_is_a_numeric_error(tmp_path, capsys):
+    # one cube of masses 1e-24 and 1e-300: its mass times the smaller child's is 0, a float division
+    # by zero (exit 3) when each function was computed alone; the batched amplitudes keep that
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("id,x,y,mass\n0,0,0,1\n1,10,0,1e-24\n2,10.001,0,1e-300\n")
+    assert main(["sht", "--cloud", str(cloud), "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and strict_loads(err)["error"] == "numeric"
+
+
 @pytest.mark.parametrize("kind", ["points", "edges"])
 def test_cloud_one_point_over_the_size_limit_is_a_config_error(tmp_path, capsys, kind):
     # the points run to exit 0 without the guard; the edge list is a star, which names every id
@@ -353,6 +366,32 @@ def test_unparsable_flag_is_a_strict_json_config_error(capsys):
         main(["average-hilbert", "--margins"])
     assert exc.value.code == 2
     assert strict_loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_one_parser_per_process_gives_the_reports_of_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process: after a good call a bad flag still exits 2 in strict
+    # JSON, and two experiments write the bytes that each writes in a fresh process
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("id,x,y\n" + "".join(f"{k},{k % 3},{k // 3}\n" for k in range(9)))
+    out = tmp_path / "out"
+
+    def written():
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        return files
+
+    for argv in (["bellman", "--samples", "500", "--seed", "1"], ["sht", "--cloud", str(cloud), "--delta", "0.4"]):
+        argv += ["--out", str(out), "--format", "both"]
+        assert main(argv) == 0
+        in_process = written()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--no-such-flag"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and strict_loads(captured.err)["error"] == "config"
+        subprocess.run([sys.executable, "-m", "dyadlab.cli", *argv], check=True, capture_output=True)
+        assert written() == in_process and len(in_process) == 2
 
 
 @pytest.mark.parametrize(

@@ -146,6 +146,17 @@ def test_constructor_rejects_asymmetry_a_nonzero_diagonal_and_a_zero_distance():
             QuasiMetricCloud(dist, np.ones(3))
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (2, 0), (4, 1), (1, 4)])
+def test_symmetry_check_in_tiles_finds_one_asymmetric_pair(monkeypatch, i, j):
+    # 2 x 2 tiles of a 5 x 5 matrix: a pair inside a diagonal tile, across tiles and in the last, short tile
+    monkeypatch.setattr(sht, "BLOCK_ELEMENTS", 4)
+    xy = np.random.default_rng(5).random((5, 2))
+    dist = QuasiMetricCloud.from_points(xy).dist
+    dist[i, j] *= 1.0 + 1e-15
+    with pytest.raises(ValueError, match="symmetric"):
+        QuasiMetricCloud(dist, np.ones(5))
+
+
 def test_points_cloud_peaks_at_its_distances_plus_one_block():
     # summing whole n x n blocks per coordinate once peaked at twice the matrix: 67 MB at 2048 points
     xy = np.random.default_rng(2048).random((2048, 2))
@@ -224,6 +235,33 @@ def test_single_point_cloud():
     assert all(len(net) == 1 for net in nets)
     system = build_cube_system(cloud, 0.5)
     assert all(a[0] == 0 for a in system.assignment)
+
+
+def reference_nets(cloud, delta, k_max=None):
+    """The greedy scan of every level from scratch, one point at a time: the
+    previous centers first, then the other points in id order."""
+    nets, prev = [], []
+    for k in range(k_max + 1 if k_max is not None else 64):
+        radius, seen = delta ** k, set(prev)
+        centers, dmin = [], np.full(cloud.n, np.inf)
+        for pid in prev + [i for i in range(cloud.n) if i not in seen]:
+            if dmin[pid] >= radius:
+                centers.append(pid)
+                dmin = np.minimum(dmin, cloud.dist[pid])
+        nets.append(centers)
+        prev = centers
+        if k_max is None and len(centers) == cloud.n:
+            break
+    return nets
+
+
+@pytest.mark.parametrize("k_max", [None, 3])
+@pytest.mark.parametrize("delta", [0.05, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("name", ORACLE_CLOUDS)
+def test_nets_match_the_per_point_greedy_scan(name, delta, k_max):
+    # the scan visits only the points that can still join, and keeps the previous centers
+    cloud = ORACLE_CLOUDS[name]()
+    assert [c.tolist() for c in build_nets(cloud, delta, k_max)] == reference_nets(cloud, delta, k_max)
 
 
 def test_nets_separation_and_covering():
@@ -459,6 +497,37 @@ def test_coordinate_gram_matches_the_dense_product(monkeypatch, name, oracle, bl
         earlier = np.max(np.abs(np.triu(G, 1)), axis=0, initial=0.0)[case.top_cubes:]
         np.testing.assert_allclose(off, earlier, rtol=0, atol=1e-14)
         assert abs(gram_error(case) - np.max(np.abs(G - np.eye(len(G))), initial=0.0)) <= 1e-14
+
+
+def test_haar_build_and_gram_of_one_cube_with_every_point_a_child_stay_in_blocks():
+    # summing every remainder at once held n^2 / 2 point ids: 43 MB at n = 1024, against 60 kB of basis
+    n = 1024
+    dist = np.full((n, n), 0.9)
+    np.fill_diagonal(dist, 0.0)
+    system = build_cube_system(QuasiMetricCloud(dist, np.ones(n)), 0.5)
+    assert [len(c) for c in system.centers] == [1, n]
+    tracemalloc.start()
+    try:
+        basis = build_sht_haar(system)
+        err = gram_error(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err <= 1e-12
+    assert peak <= 64 * n + 6 * 8 * sht.BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("count", [1, 3, 40])
+def test_segment_sums_match_the_sum_of_each_gathered_segment_bit_for_bit(count):
+    # np.add.reduceat adds left to right; a numpy that reorders row sums against 1-D sums fails here first
+    rng = np.random.default_rng(count)
+    values = rng.standard_normal(5000) * np.exp(rng.uniform(-30, 30, 5000))  # order-sensitive sums
+    lengths = np.repeat(np.r_[0:301, 511, 512, 1000, 1024, 1025, 3000], count)
+    flat = rng.integers(0, values.size, int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
+    sums = sht._row_sums(values, flat, starts, lengths)
+    expected = [values[flat[s:s + m]].sum() for s, m in zip(starts, lengths)]
+    assert sums.tolist() == expected
 
 
 @pytest.mark.parametrize("oracle", GRAM_ORACLES)
