@@ -1,46 +1,3 @@
 """dyadlab: a numerical laboratory for dyadic harmonic analysis."""
 
 __version__ = "0.1.0"
-
-from .grid import (
-    DyadicInterval,
-    GridParameters,
-    covering_interval,
-    sample_random_grid,
-    standard_grid,
-    third_grid,
-)
-from .signal import (
-    HaarSpectrum,
-    Mesh,
-    StepFunction,
-    analyze,
-    average,
-    haar_function,
-    inner,
-    lp_norm,
-    synthesize,
-    weighted_decomposition,
-    weighted_haar,
-)
-
-__all__ = [
-    "DyadicInterval",
-    "GridParameters",
-    "HaarSpectrum",
-    "Mesh",
-    "StepFunction",
-    "analyze",
-    "average",
-    "covering_interval",
-    "haar_function",
-    "inner",
-    "lp_norm",
-    "sample_random_grid",
-    "standard_grid",
-    "synthesize",
-    "third_grid",
-    "weighted_decomposition",
-    "weighted_haar",
-    "__version__",
-]

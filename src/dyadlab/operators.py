@@ -43,7 +43,9 @@ class SignSymbol:
         if len(self.levels) != self.mesh.depth:
             raise ValueError("sign symbol needs one array per coefficient level")
         self.levels = [np.asarray(a, dtype=float) for a in self.levels]
-        for a in self.levels:
+        for l, a in enumerate(self.levels):
+            if a.shape != (1 << l,):
+                raise ValueError(f"sign symbol level {l} needs {1 << l} signs, got shape {a.shape}")
             if not np.all(np.abs(a) == 1.0):
                 raise ValueError("sign symbol values must be +-1")
 
@@ -469,42 +471,49 @@ def _interval_differences(edges, pref, vals, off, ell, ke, out, index):
 # -- sparse commutator operators ----------------------------------------------
 
 
+def _deviation(chunks: np.ndarray) -> np.ndarray:
+    """|b - <b>_I| over the cells of I: one interval's cells, or one row of
+    cells per interval."""
+    return np.abs(chunks - chunks.mean(axis=-1, keepdims=True))
+
+
+def _by_level(members) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(level, pos) addresses grouped by tree level, coarsest first: each level
+    with the indices of its members in `members` and their positions."""
+    level, pos = np.array(members, dtype=np.int64).reshape(-1, 2).T
+    index = [np.flatnonzero(level == l) for l in range(level.max(initial=-1) + 1)]
+    return [(l, i, pos[i]) for l, i in enumerate(index) if i.size]
+
+
 def mean_oscillation(b: StepFunction, where) -> float:
     """Omega(b; R) = <|b - <b>_R|>_R."""
-    chunk = b.values[b.mesh.cell_slice(*_resolve(b.mesh, where))]
-    return float(np.mean(np.abs(chunk - chunk.mean())))
+    return float(np.mean(_deviation(b.values[b.mesh.cell_slice(*_resolve(b.mesh, where))])))
 
 
 def oscillations(b: StepFunction) -> list[np.ndarray]:
     """Per tree level 0..J, the sum of |b - <b>_I| over the cells of each I:
     Omega(b; I) times the cell count of I."""
-    out = []
-    for level in range(b.mesh.depth + 1):
-        chunks = b.values.reshape(1 << level, -1)
-        out.append(np.abs(chunks - chunks.mean(axis=1, keepdims=True)).sum(axis=1))
-    return out
+    return [_deviation(b.values.reshape(1 << level, -1)).sum(axis=1) for level in range(b.mesh.depth + 1)]
+
+
+def _sparse_commutator(family, b: StepFunction, f: StepFunction, term) -> StepFunction:
+    """sum_Q term(|b - <b>_Q|, |f| on Q) 1_Q, one pass per tree level over the
+    rows of cells of that level's members, coarsest level first."""
+    out, absf = np.zeros(b.mesh.n_cells), np.abs(f.values)
+    for level, _, pos in _by_level(family.members):
+        shape = (1 << level, -1)
+        out.reshape(shape)[pos] += term(_deviation(b.values.reshape(shape)[pos]), absf.reshape(shape)[pos])
+    return StepFunction(b.mesh, out)
 
 
 def sparse_commutator(family, b: StepFunction, f: StepFunction) -> StepFunction:
     """T_{S,b} f = sum_Q |b - <b>_Q| <|f|>_Q 1_Q."""
-    out = np.zeros(b.mesh.n_cells)
-    absf = np.abs(f.values)
-    for level, pos in family.members:
-        sl = b.mesh.cell_slice(level, pos)
-        chunk = b.values[sl]
-        out[sl] += np.abs(chunk - chunk.mean()) * absf[sl].mean()
-    return StepFunction(b.mesh, out)
+    return _sparse_commutator(family, b, f, lambda dev, absf: dev * absf.mean(axis=1, keepdims=True))
 
 
 def sparse_commutator_adjoint(family, b: StepFunction, f: StepFunction) -> StepFunction:
     """T*_{S,b} f = sum_Q <|b - <b>_Q| |f|>_Q 1_Q."""
-    out = np.zeros(b.mesh.n_cells)
-    absf = np.abs(f.values)
-    for level, pos in family.members:
-        sl = b.mesh.cell_slice(level, pos)
-        chunk = b.values[sl]
-        out[sl] += float(np.mean(np.abs(chunk - chunk.mean()) * absf[sl]))
-    return StepFunction(b.mesh, out)
+    return _sparse_commutator(family, b, f, lambda dev, absf: (dev * absf).mean(axis=1, keepdims=True))
 
 
 # -- operator handles and norm estimation --------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, InfeasibleError, ResolutionError
-from .operators import SignSymbol, martingale_transform, positive_dyadic_operator
+from .operators import SignSymbol, _by_level, _deviation, martingale_transform, positive_dyadic_operator
 from .signal import HaarSpectrum, Mesh, StepFunction, analyze, broadcast, haar_refine, haar_steps, pyramid
 from .weights import CarlesonSequence, carleson_intensity
 
@@ -67,7 +67,7 @@ class SparseFamily:
 
     def _cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(cells of E_Q, cells of Q) per member, in member order."""
-        levels = np.array([level for level, _ in self.members], dtype=np.int64)
+        levels = np.array(self.members, dtype=np.int64).reshape(-1, 2)[:, 0]
         mass = np.bincount(self.owner[self.owner >= 0], minlength=len(self.members))
         return mass, np.left_shift(1, self.mesh.depth - levels)
 
@@ -138,31 +138,28 @@ def carleson_constant(family: SparseFamily) -> float:
 def construct_certificates(family: SparseFamily, lam: float) -> SparseFamily:
     """Realize a Lambda-Carleson family as (1/Lambda)-sparse, constructively.
 
-    Walks the generations bottom-up; each member takes its leftmost
-    floor(#cells(Q)/Lambda) still-free cells inside Q.  The packing bound
-    guarantees enough free mass at every step when lam is at least the true
-    Carleson constant; running out on the way up means lam was too small.
+    Walks the generations bottom-up, a level's disjoint members at once; each
+    member takes its leftmost floor(#cells(Q)/Lambda) still-free cells inside
+    Q.  The packing bound guarantees enough free mass at every step when lam is
+    at least the true Carleson constant; running out on the way up means lam
+    was too small.
     """
     mesh = family.mesh
     if lam < 1.0:
         raise InfeasibleError("Lambda must be at least 1")
     owner = np.full(mesh.n_cells, -1)
-    for i in sorted(range(len(family.members)), key=lambda i: -family.members[i][0]):
-        level, pos = family.members[i]
-        width = 1 << (mesh.depth - level)
-        target = int(math.floor(width / lam + 1e-9))
+    for level, index, pos in reversed(_by_level(family.members)):
+        target = int(math.floor((1 << (mesh.depth - level)) / lam + 1e-9))
         if target == 0:
-            raise ResolutionError(
-                f"|Q|/Lambda below one cell for member ({level},{pos}); refine the mesh"
-            )
-        sl = mesh.cell_slice(level, pos)
-        free = np.flatnonzero(owner[sl] < 0)
-        if free.size < target:
+            raise ResolutionError(f"|Q|/Lambda below one cell for member ({level},{pos[0]}); refine the mesh")
+        rows = owner.reshape(1 << level, -1)
+        free = rows[pos] < 0
+        short = np.flatnonzero(free.sum(axis=1) < target)
+        if short.size:
             raise InfeasibleError(
-                f"not enough free mass in ({level},{pos}); Lambda={lam} is below "
-                "the Carleson constant of the family"
+                f"not enough free mass in ({level},{pos[short[0]]}); Lambda={lam} is below the Carleson constant of the family"
             )
-        owner[free[:target] + sl.start] = i
+        rows[pos] = np.where(free & (np.cumsum(free, axis=1) <= target), index[:, None], rows[pos])
     return SparseFamily(mesh, list(family.members), owner)
 
 
@@ -344,22 +341,18 @@ def lor_enlargement(family: SparseFamily, b: StepFunction) -> tuple[SparseFamily
     omega = [np.zeros(1 << l) for l in range(mesh.depth + 1)]  # Omega(b;R) on the members of S~
     seen = set()
 
-    def deviation(level, pos):
-        chunk = b.values[mesh.cell_slice(level, pos)]
-        return np.abs(chunk - chunk.mean())
-
     def rule(level, pos):
         if (level, pos) in seen:
             return None  # grown already, from an earlier member of S
         seen.add((level, pos))
-        means = pyramid(deviation(level, pos), np.mean)
+        means = pyramid(_deviation(b.values[mesh.cell_slice(level, pos)]), np.mean)
         omega[level][pos] = means[0][0]
         return broadcast(means, np.maximum) > 4.0 * means[0][0]
 
     enlarged = _stopping_tree(mesh, family.members, rule)
     ratio = 0.0
-    for level, pos in enlarged:
-        h = deviation(level, pos)
-        rhs = broadcast(_subtree(omega, level, pos), np.add)
+    for level, _, pos in _by_level(enlarged):
+        h = _deviation(b.values.reshape(1 << level, -1)[pos])
+        rhs = broadcast(omega[level:], np.add).reshape(1 << level, -1)[pos]
         ratio = max(ratio, float(np.max(np.divide(h, rhs, out=np.zeros_like(h), where=h > 0.0))))
     return SparseFamily(mesh, enlarged), ratio

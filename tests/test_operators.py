@@ -144,6 +144,20 @@ def test_martingale_identity_symbol():
     np.testing.assert_allclose(out.values, mean_zero_part(f).values, atol=1e-12)
 
 
+def test_sign_symbol_rejects_levels_of_the_wrong_length():
+    # one sign per interval of each coefficient level: a short or long level
+    # would be spread or cut silently by the tree kernels
+    mesh = unit_mesh(4)
+    for wrong in (1, 2):
+        for size in ((1 << wrong) - 1, (1 << wrong) + 1):
+            levels = [np.ones(1 << l) for l in range(mesh.depth)]
+            levels[wrong] = np.ones(size)
+            with pytest.raises(ValueError, match=f"level {wrong} needs {1 << wrong} signs"):
+                SignSymbol(mesh, levels)
+    with pytest.raises(ValueError):
+        SignSymbol(mesh, [np.ones(1)] * 4)
+
+
 def test_martingale_isometry_on_mean_zero():
     mesh = unit_mesh(7)
     rng = np.random.default_rng(5)

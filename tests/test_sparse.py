@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 from fractions import Fraction
@@ -17,12 +18,15 @@ from dyadlab.operators import (
     maximal_dyadic,
     oscillations,
     sharp_truncation,
+    sparse_commutator,
+    sparse_commutator_adjoint,
 )
-from dyadlab.signal import Mesh, StepFunction, inner, pyramid
+from dyadlab.signal import Mesh, StepFunction, broadcast, inner, pyramid
 from dyadlab.sparse import (
     SparseFamily,
     _ancestor_sums,
     _maximal_intervals,
+    _subtree,
     carleson_constant,
     construct_certificates,
     lacey_dominate,
@@ -437,6 +441,22 @@ def reference_lor_enlargement(mesh, b, members) -> set:
     return out
 
 
+def reference_lor_ratio(mesh, b, members) -> float:
+    """The worst ratio of |b - <b>_Q| to sum_{R in S~, R in Q} Omega(b;R) 1_R
+    over the members Q of S~, one member at a time."""
+    omega = [np.zeros(1 << l) for l in range(mesh.depth + 1)]
+    deviations = {}
+    for level, pos in members:
+        chunk = b.values[mesh.cell_slice(level, pos)]
+        deviations[level, pos] = h = np.abs(chunk - chunk.mean())
+        omega[level][pos] = pyramid(h, np.mean)[0][0]
+    ratio = 0.0
+    for (level, pos), h in deviations.items():
+        rhs = broadcast(_subtree(omega, level, pos), np.add)
+        ratio = max(ratio, float(np.max(np.divide(h, rhs, out=np.zeros_like(h), where=h > 0.0))))
+    return ratio
+
+
 def test_lor_oscillation_probe():
     mesh = unit_mesh(6)
     rng = np.random.default_rng(12)
@@ -458,6 +478,7 @@ def test_lor_oscillation_probe():
             assert ratio <= 8.0
             assert set(fam.members) <= set(enlarged.members)
             assert set(enlarged.members) == reference_lor_enlargement(mesh, b, fam.members)
+            assert ratio == reference_lor_ratio(mesh, b, enlarged.members)
             for q in enlarged.members:
                 assert 4 * int(lor_stopping_oracle(mesh, b, q).sum()) <= 1 << (depth - q[0])
             # the greedy probe, handed S~, finds every member within the bound and adds nothing
@@ -734,3 +755,86 @@ def reference_osc_ratio(mesh, b, osc, family_set, q):
     ratios = np.where(lhs <= 1e-15, 0.0, lhs / np.where(rhs > 0, rhs, np.inf))
     worst = int(np.argmax(ratios))
     return float(ratios[worst]), sl.start + worst
+
+
+# -- the level-at-a-time passes against the per-member loops they replaced ---------
+
+
+def reference_commutators(family, b: StepFunction, f: StepFunction):
+    """T_{S,b} f and T*_{S,b} f, one member at a time in member order."""
+    mesh = b.mesh
+    out, adj = np.zeros(mesh.n_cells), np.zeros(mesh.n_cells)
+    absf = np.abs(f.values)
+    for level, pos in family.members:
+        sl = mesh.cell_slice(level, pos)
+        dev = np.abs(b.values[sl] - b.values[sl].mean())
+        out[sl] += dev * absf[sl].mean()
+        adj[sl] += float(np.mean(dev * absf[sl]))
+    return out, adj
+
+
+@pytest.mark.parametrize("depth", range(4, 15))
+def test_sparse_commutators_match_the_member_loop(depth):
+    from dyadlab.experiments import sweep_mesh, tower_family
+
+    rng = np.random.default_rng(depth)
+    mesh = sweep_mesh(depth)
+    f = StepFunction(mesh, rng.standard_normal(mesh.n_cells))
+    b = StepFunction(mesh, rng.standard_normal(mesh.n_cells) ** 3)
+    lacey, _ = lacey_dominate(f, SignSymbol.random(mesh, rng))
+    for fam in (lacey, tower_family(mesh)):
+        out, adj = reference_commutators(fam, b, f)
+        # both families list every member before the members inside it, so
+        # each cell takes its terms coarsest first in either order: bit for bit
+        assert np.array_equal(sparse_commutator(fam, b, f).values, out)
+        assert np.array_equal(sparse_commutator_adjoint(fam, b, f).values, adj)
+        shuffled = SparseFamily(mesh, [fam.members[i] for i in rng.permutation(len(fam.members))])
+        np.testing.assert_allclose(sparse_commutator(shuffled, b, f).values, out, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(sparse_commutator_adjoint(shuffled, b, f).values, adj, rtol=1e-15, atol=0)
+
+
+def reference_certificates(family: SparseFamily, lam: float) -> np.ndarray:
+    """The owner array of construct_certificates, one member at a time: finest
+    level first, in member order within a level."""
+    mesh = family.mesh
+    owner = np.full(mesh.n_cells, -1)
+    for i in sorted(range(len(family.members)), key=lambda i: -family.members[i][0]):
+        level, pos = family.members[i]
+        target = int(math.floor((1 << (mesh.depth - level)) / lam + 1e-9))
+        if target == 0:
+            raise ResolutionError(f"|Q|/Lambda below one cell for member ({level},{pos}); refine the mesh")
+        sl = mesh.cell_slice(level, pos)
+        free = np.flatnonzero(owner[sl] < 0)
+        if free.size < target:
+            raise InfeasibleError(
+                f"not enough free mass in ({level},{pos}); Lambda={lam} is below the Carleson constant of the family"
+            )
+        owner[free[:target] + sl.start] = i
+    return owner
+
+
+def test_construct_certificates_matches_the_member_loop():
+    # shuffled random families at and around their constant: the same owners,
+    # or the same error naming the same member
+    rng = np.random.default_rng(29)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        depth = int(rng.integers(3, 10))
+        finest = max(depth - int(rng.choice([0, 2, 3, 4])), 0)
+        density = rng.uniform(0.02, 0.5)
+        mesh = unit_mesh(depth)
+        members = [(l, p) for l in range(finest + 1) for p in range(1 << l) if rng.random() < density]
+        fam = SparseFamily(mesh, [members[i] for i in rng.permutation(len(members))] or [(0, 0)])
+        lam = max(1.0, carleson_constant(fam) * float(rng.choice([0.6, 0.9, 1.0, 1.3])))
+        try:
+            expect = reference_certificates(fam, lam)
+        except (ResolutionError, InfeasibleError) as exc:
+            with pytest.raises(type(exc)) as got:
+                construct_certificates(fam, lam)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert np.array_equal(construct_certificates(fam, lam).owner, expect)
+        outcomes["certified"] += 1
+    assert set(outcomes) == {"certified", "ResolutionError", "InfeasibleError"}
+    assert min(outcomes.values()) >= 30, outcomes
