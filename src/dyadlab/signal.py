@@ -251,11 +251,12 @@ def pyramid(values: np.ndarray, reduce) -> list[np.ndarray]:
     """`reduce` (np.mean, np.min, np.max or np.sum) over every tree interval,
     levels 0..J, taken pairwise up from the cells; level J is a copy of the
     cell values.  Each level pairs the even and odd entries of the one below
-    as strided slices."""
+    as strided slices.  Leading axes of `values` (..., 2^J) are a batch: each
+    row gets its own pyramid, bit for bit the one of the row alone."""
     pair = _PAIRWISE[reduce]
     out = [np.array(values, dtype=float)]
-    while out[-1].size > 1:
-        out.append(pair(out[-1][0::2], out[-1][1::2]))
+    while out[-1].shape[-1] > 1:
+        out.append(pair(out[-1][..., 0::2], out[-1][..., 1::2]))
     out.reverse()
     return out
 
@@ -264,12 +265,12 @@ def broadcast(levels, combine) -> np.ndarray:
     """The dual of `pyramid`: push per-level arrays from the coarsest down to
     the last (finest) one given, each child taking combine(parent, own entry),
     with combine np.add or np.maximum; the even and odd children are written
-    as strided slices."""
+    as strided slices.  Leading axes (..., 2^l) are a batch, as in `pyramid`."""
     cur = levels[0]
     for level in levels[1:]:
         nxt = np.empty(level.shape, dtype=np.result_type(cur, level))
-        combine(cur, level[0::2], out=nxt[0::2])
-        combine(cur, level[1::2], out=nxt[1::2])
+        combine(cur, level[..., 0::2], out=nxt[..., 0::2])
+        combine(cur, level[..., 1::2], out=nxt[..., 1::2])
         cur = nxt
     return cur
 
@@ -311,10 +312,10 @@ def analyze(f: StepFunction) -> HaarSpectrum:
 
 def haar_refine(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
     """One level of Haar synthesis: the left children of `cur` take
-    cur - step and the right children cur + step."""
-    out = np.empty(2 * cur.size)
-    np.subtract(cur, step, out=out[0::2])
-    np.add(cur, step, out=out[1::2])
+    cur - step and the right children cur + step, along the last axis."""
+    out = np.empty(cur.shape[:-1] + (2 * cur.shape[-1],))
+    np.subtract(cur, step, out=out[..., 0::2])
+    np.add(cur, step, out=out[..., 1::2])
     return out
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CalibrationError, InfeasibleError, ResolutionError
 from .operators import SignSymbol, _by_level, _deviation, martingale_transform, positive_dyadic_operator
-from .signal import HaarSpectrum, Mesh, StepFunction, analyze, broadcast, haar_refine, haar_steps, pyramid
+from .signal import HaarSpectrum, Mesh, StepFunction, _resolve, analyze, broadcast, haar_refine, haar_steps, pyramid
 from .weights import CarlesonSequence, carleson_intensity
 
 
@@ -36,15 +36,24 @@ class SparseFamily:
     members: list[tuple[int, int]]
     owner: np.ndarray | None = None
     eta: float | None = None
+    # the members' levels and positions as arrays, read once at construction
+    _levels: np.ndarray = field(init=False, repr=False, compare=False)
+    _pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for level, pos in self.members:
-            if not (0 <= level <= self.mesh.depth and 0 <= pos < (1 << level)):
-                raise ResolutionError(f"member ({level},{pos}) outside the mesh tree")
-            if (level, pos) in seen:
-                raise ValueError(f"duplicate member ({level},{pos})")
-            seen.add((level, pos))
+        members = np.array(self.members, dtype=None if len(self.members) else int)  # object beyond int64
+        self._levels, self._pos = level, pos = members.reshape(-1, 2).T
+        width = np.left_shift(1, np.clip(level, 0, self.mesh.depth))
+        inside = (level >= 0) & (level <= self.mesh.depth) & (pos >= 0) & (pos < width)
+        # the heap index 2^level + pos names an address; off-tree members get distinct negative keys
+        bad = np.ones(pos.size, dtype=bool)
+        bad[np.unique(np.where(inside, width + pos, -1 - np.arange(pos.size)), return_index=True)[1]] = False
+        bad |= ~inside
+        if bad.any():
+            i = int(np.argmax(bad))  # the first bad member, as a walk in member order meets it
+            if not inside[i]:
+                raise ResolutionError(f"member ({level[i]},{pos[i]}) outside the mesh tree")
+            raise ValueError(f"duplicate member ({level[i]},{pos[i]})")
         if self.owner is None:
             return
         self.owner = np.asarray(self.owner)
@@ -67,9 +76,8 @@ class SparseFamily:
 
     def _cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(cells of E_Q, cells of Q) per member, in member order."""
-        levels = np.array(self.members, dtype=np.int64).reshape(-1, 2)[:, 0]
         mass = np.bincount(self.owner[self.owner >= 0], minlength=len(self.members))
-        return mass, np.left_shift(1, self.mesh.depth - levels)
+        return mass, np.left_shift(1, self.mesh.depth - self._levels)
 
     def measured_eta(self) -> float:
         if self.owner is None:
@@ -81,27 +89,39 @@ class SparseFamily:
 
     def packing_sequence(self) -> CarlesonSequence:
         """lambda_Q = |Q| on the members, zero elsewhere."""
-        levels, pos = np.array(self.members, dtype=np.int64).reshape(-1, 2).T
+        levels, pos = self._levels, self._pos
         counts = [np.bincount(pos[levels == l], minlength=1 << l) for l in range(self.mesh.depth + 1)]
         return CarlesonSequence(self.mesh, [c * self.mesh.level_length(l) for l, c in enumerate(counts)])
 
     def to_json(self) -> str:
         """Members as absolute grid addresses {generation, index} plus
-        run-length-encoded certificate cell ranges [start, stop)."""
-        rows = [
-            {"generation": self.mesh.root.j + level, "index": self.mesh.first_index(level) + pos}
-            for level, pos in self.members
-        ]
+        run-length-encoded certificate cell ranges [start, stop).  Blocks of
+        4096 members are encoded in turn, so only one block's rows are ever
+        Python objects: at depth 20 they would hold most of a run's memory."""
+        level, pos = self._levels, self._pos
+        # J + 1 distinct first indices; object entries keep the grid's exact integers
+        first = np.array([self.mesh.first_index(l) for l in range(self.mesh.depth + 1)], dtype=object)
+        generation, index = (level + self.mesh.root.j).tolist(), (first[level] + pos).tolist()
         if self.owner is not None:
-            for row in rows:
-                row["certificate_cells"] = []
-            # a run is a maximal stretch of cells with one owner
+            # a run is a maximal stretch of cells with one owner; a member's runs go left to right
             starts = np.r_[0, np.flatnonzero(np.diff(self.owner)) + 1]
-            stops = np.r_[starts[1:], self.owner.size]
-            for i, a, b in zip(self.owner[starts].tolist(), starts.tolist(), stops.tolist()):
-                if i >= 0:
-                    rows[i]["certificate_cells"].append([a, b])
-        return json.dumps({"depth": self.mesh.depth, "eta": self.eta, "members": rows})
+            who = self.owner[starts]
+            order = np.argsort(who, kind="stable")
+            order = order[who[order] >= 0]  # free runs belong to no member
+            runs = np.stack([starts, np.r_[starts[1:], self.owner.size]], axis=1)[order]
+            bounds = np.searchsorted(who[order], np.arange(len(index) + 1))
+
+        def block(a: int) -> str:
+            b = min(a + 4096, len(index))
+            rows = [{"generation": g, "index": i} for g, i in zip(generation[a:b], index[a:b])]
+            if self.owner is not None:
+                cells, cuts = runs[bounds[a] : bounds[b]].tolist(), (bounds[a : b + 1] - bounds[a]).tolist()
+                for row, s, t in zip(rows, cuts, cuts[1:]):
+                    row["certificate_cells"] = cells[s:t]
+            return json.dumps(rows)[1:-1]
+
+        head = json.dumps({"depth": self.mesh.depth, "eta": self.eta, "members": []})[: -len("[]}")]
+        return head + "[" + ", ".join(map(block, range(0, len(index), 4096))) + "]}"
 
     @classmethod
     def from_json(cls, mesh: Mesh, text: str) -> "SparseFamily":
@@ -169,7 +189,7 @@ def verify_sparse(family: SparseFamily) -> tuple[bool, dict]:
     if family.owner is None:
         return (False, {"ok": False, "violations": ["no certificates"]})
     eta = family.eta if family.eta is not None else family.measured_eta()
-    level, pos = np.array(family.members, dtype=np.int64).reshape(-1, 2).T
+    level, pos = family._levels, family._pos
     cells = np.flatnonzero(family.owner >= 0)
     who = family.owner[cells]
     outside = np.unique(who[(cells >> (family.mesh.depth - level[who])) != pos[who]])
@@ -185,6 +205,73 @@ def sparse_operator(family: SparseFamily, f: StepFunction) -> StepFunction:
     packing sequence."""
     op = positive_dyadic_operator(family.packing_sequence())
     return StepFunction(family.mesh, op.apply(f.values))
+
+
+# -- the stopping-time engine -------------------------------------------------------
+
+
+def _stopping_forest(mesh: Mesh, tops, rule) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The members of the stopping-time trees grown from `tops`, and their owner
+    array, one tree level at a time.
+
+    rule(level, pos) takes a level's candidate positions and returns (keep,
+    stopping): which are members, and the members' boolean stopping masks, one
+    row of cells each.  Nothing below a skipped candidate is visited.  A
+    member's cells get its index in the owner array, its stopping cells -1
+    until a member below claims them, and its maximal stopping intervals are
+    queued at their own levels.  A level's members are disjoint, so they are
+    written and split at once.  An interval several trees reach is a member of
+    the first.  Members come out as a depth-first walk lists them: top by top,
+    each tree by right end descending, then level ascending.
+    """
+    queue = [[] for _ in range(mesh.depth + 1)]  # per level: (positions, trees) of the candidates
+    for tree, (level, pos) in enumerate(tops):
+        queue[level].append((np.array([pos]), np.array([tree])))
+    found = [(np.zeros(0, np.int64),) * 3]  # per level: (levels, positions, trees) of its members
+    owner, count = np.full(mesh.n_cells, -1), 0
+    for level in range(mesh.depth + 1):
+        if not queue[level]:
+            continue
+        pos, tree = (np.concatenate(a) for a in zip(*queue[level]))
+        queue[level] = None
+        order = np.lexsort((tree, pos))  # one candidate per interval, of its first tree
+        pos, tree = pos[order], tree[order]
+        first = np.r_[True, pos[1:] != pos[:-1]]
+        pos, tree = pos[first], tree[first]
+        keep, stopping = rule(level, pos)
+        pos, tree = pos[keep], tree[keep]
+        index = np.arange(count, count + pos.size)  # in the order found; renumbered at the end
+        count += pos.size
+        rows = owner.reshape(1 << level, -1)
+        rows[pos] = np.where(stopping, -1, index[:, None])
+        found.append((np.full(pos.size, level), pos, tree))
+        for child_level, child_pos, row in _stopping_children(level, pos, stopping):
+            queue[child_level].append((child_pos, tree[row]))
+        del stopping, rows  # before the next level's rule runs
+    level, pos, tree = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((level, -((pos + 1) << (mesh.depth - level)), tree))
+    rank = np.full(count + 1, -1)  # rank[-1] = -1 keeps free cells free
+    rank[order] = np.arange(count)
+    np.take(rank, owner, out=owner, mode="wrap")  # renumbered in place; -1 wraps to rank[-1]
+    return list(zip(level[order].tolist(), pos[order].tolist())), owner
+
+
+def _stopping_children(level: int, pos: np.ndarray, stopping: np.ndarray):
+    """Yields (level, positions, rows): per finer level, the maximal dyadic
+    intervals strictly inside the intervals `pos` of `level` that lie in their
+    stopping sets (one boolean row of cells each), by a min pyramid: min 1 on
+    the interval and 0 on its parent.  They cover each mask exactly, unless
+    the row is one stopping cell."""
+    mins = pyramid(stopping, np.min)
+    for k in range(1, len(mins)):
+        inside = mins[k] == 1
+        if k > 1:
+            parent_open = mins[k - 1] == 0
+            inside[:, 0::2] &= parent_open
+            inside[:, 1::2] &= parent_open
+        row, p = np.nonzero(inside)
+        if row.size:
+            yield level + k, (pos[row] << k) + p, row
 
 
 # -- Lacey's pointwise domination of the martingale transform -------------------
@@ -204,8 +291,12 @@ def lacey_dominate(
     maximal function and sharp truncation of the localized data f 1_I; in
     auto mode C0 starts at 4 and doubles, up to 2^16, until every stopping set
     has at most half the mass of its interval and the pointwise check passes.
+    `top` must be a mesh interval and C0 finite and positive.
     """
     mesh = f.mesh
+    top = _resolve(mesh, top)
+    if C0 is not None and not 0.0 < C0 < math.inf:
+        raise ValueError(f"C0 must be finite and positive, got {C0!r}")
     inside = np.zeros(mesh.n_cells, dtype=bool)
     inside[mesh.cell_slice(*top)] = True
     floc = StepFunction(mesh, np.where(inside, f.values, 0.0))
@@ -215,12 +306,12 @@ def lacey_dominate(
     candidates = [C0] if C0 is not None else [4.0 * 2.0 ** k for k in range(15)]
     last_error: Exception | None = None
     for c0 in candidates:
-        owner = np.full(mesh.n_cells, -1)
-        try:
-            family = SparseFamily(mesh, _stopping_tree(mesh, [top], _lacey_rule(floc, sigma, c0), owner), owner)
-        except CalibrationError as exc:
-            last_error = exc
+        failed = []
+        members, owner = _stopping_forest(mesh, [top], _lacey_rule(floc, sigma, c0, failed))
+        if failed:
+            last_error = CalibrationError(f"stopping set exceeds half of ({failed[1]},{failed[2]}) at C0={c0}")
             continue
+        family = SparseFamily(mesh, members, owner)
         ok, report = verify_sparse(family)
         if not ok:
             raise CalibrationError(f"certificate verification failed: {report}")
@@ -231,38 +322,51 @@ def lacey_dominate(
     raise last_error
 
 
-def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float):
+def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float, failed: list):
     """Lacey's stopping rule: at a member Q, stop where the dyadic maximal
     function or the sharp truncation of f 1_Q exceeds C0 <|f|>_Q / 2; skip Q
-    when f vanishes on it.
+    when f vanishes on it.  A level's candidates are rows of one array pass.
 
-    Both are read off Q's slices of pyramids built once for f 1_I0.  Above
+    Both are read off Q's rows of pyramids built once for f 1_I0.  Above
     Q, the means of |f 1_Q| halve and its Haar partial sums stay below
     |<f>_Q| (a geometric series), so neither raises the maximum.  On Q, each
     Haar term of f 1_Q above Q is sigma_I <f>_Q |Q|/|I|: the sums inside Q
     start from <f>_Q times Q's `_ancestor_sums` entry.
+
+    A Q whose stopping set exceeds half of it is no member: `failed` holds
+    [right end, level, pos] of the first in the walk's order (largest right
+    end), and candidates ending left of it, which come later, are skipped.
     """
-    mesh = floc.mesh
+    depth = floc.mesh.depth
     absf = np.abs(floc.values)
     abs_means, means = pyramid(absf, np.mean), pyramid(floc.values, np.mean)
     path = _ancestor_sums(sigma)
     signed = [np.multiply(c, sg, out=c) for c, sg in zip(analyze(floc).levels, sigma.levels)]  # one tree copy fewer
-    steps = list(haar_steps(HaarSpectrum(mesh, 0.0, signed)))
+    steps = list(haar_steps(HaarSpectrum(floc.mesh, 0.0, signed)))
 
     def rule(level, pos):
-        sl = mesh.cell_slice(level, pos)
-        avg_abs = float(np.mean(absf[sl]))
-        if avg_abs == 0.0:
-            return None  # nothing left to dominate below this interval
-        below = _subtree(abs_means, level, pos)
-        tops, sums = below[:1], np.array([means[level][pos] * path[level][pos]])
-        for m, step in zip(below[1:], _subtree(steps, level, pos)):
-            sums = haar_refine(sums, step)
-            tops.append(np.maximum(m, np.abs(sums)))
-        stopping = broadcast(tops, np.maximum) > 0.5 * c0 * avg_abs
-        if int(stopping.sum()) * 2 > sl.stop - sl.start:
-            raise CalibrationError(f"stopping set exceeds half of ({level},{pos}) at C0={c0}")
-        return stopping
+        def rows(a):
+            return a.reshape(1 << level, -1)[pos]
+
+        right = (pos + 1) << (depth - level)
+        avg_abs = rows(absf).mean(axis=1)
+        live = avg_abs > 0.0  # nothing left to dominate below an interval without mass
+        if failed:
+            live &= right > failed[0]
+        pos, avg_abs = pos[live], avg_abs[live]
+        sums = (means[level][pos] * path[level][pos])[:, None]
+        peak = abs_means[level][pos][:, None]
+        for k in range(level, depth):  # the max over Q's subtree, pushed down a level at a time
+            sums = haar_refine(sums, rows(steps[k]))
+            below = np.abs(sums)
+            peak = broadcast([peak, np.maximum(below, rows(abs_means[k + 1]), out=below)], np.maximum)
+        stopping = peak > 0.5 * c0 * avg_abs[:, None]
+        over = 2 * np.count_nonzero(stopping, axis=1) > stopping.shape[1]
+        if over.any():
+            i = np.argmax(np.where(over, right[live], -1))  # the skipping above puts it before any earlier one
+            failed[:] = [int(right[live][i]), level, int(pos[i])]
+            live[live] = ~over
+        return live, stopping[~over]
 
     return rule
 
@@ -274,54 +378,6 @@ def _ancestor_sums(sigma: SignSymbol) -> list[np.ndarray]:
     for sg in sigma.levels:
         path.append(np.repeat((path[-1] + sg) / 2, 2))
     return path
-
-
-def _subtree(levels, level: int, pos: int) -> list[np.ndarray]:
-    """The slices of per-level tree arrays that lie inside (level, pos), from
-    its own level down."""
-    return [a[pos << (l - level) : (pos + 1) << (l - level)] for l, a in enumerate(levels[level:], level)]
-
-
-def _stopping_tree(mesh: Mesh, tops, rule, owner: np.ndarray | None = None) -> list[tuple[int, int]]:
-    """The members of a stopping-time tree, walked depth-first from `tops`.
-
-    rule(level, pos) returns the interval's stopping mask over its cells, or
-    None to skip it: a skipped interval is no member and nothing below it is
-    visited.  A member's cells outside its mask get its index in `owner`, and
-    its maximal stopping intervals are visited next, the rightmost first.
-    """
-    members, stack = [], list(reversed(tops))
-    while stack:
-        level, pos = stack.pop()
-        stopping = rule(level, pos)
-        if stopping is None:
-            continue
-        if owner is not None:
-            owner[mesh.cell_slice(level, pos)][~stopping] = len(members)
-        members.append((level, pos))
-        stack.extend(_maximal_intervals(mesh, level, pos, stopping))
-    return members
-
-
-def _maximal_intervals(mesh: Mesh, level: int, pos: int, stopping: np.ndarray):
-    """Maximal dyadic subintervals of (level,pos) fully inside the stopping set,
-    left to right.
-
-    `stopping` is the boolean cell mask relative to the interval; returned
-    addresses are absolute tree positions.  An interval is inside the set
-    when its min over the mask is 1, and maximal when its parent's min is 0.
-    The mask is a union of cells, so these maximal intervals cover it exactly.
-    """
-    mins = pyramid(stopping, np.min)
-    out = []
-    for k, m in enumerate(mins):
-        top = m == 1
-        if k:
-            parent_open = mins[k - 1] == 0
-            top[0::2] &= parent_open
-            top[1::2] &= parent_open
-        out += [(level + k, (pos << k) + int(p)) for p in np.flatnonzero(top)]
-    return sorted(out, key=lambda m: m[1] << (mesh.depth - m[0]))
 
 
 # -- the oscillation enlargement ---------------------------------------------------
@@ -339,17 +395,13 @@ def lor_enlargement(family: SparseFamily, b: StepFunction) -> tuple[SparseFamily
     """
     mesh = family.mesh
     omega = [np.zeros(1 << l) for l in range(mesh.depth + 1)]  # Omega(b;R) on the members of S~
-    seen = set()
 
     def rule(level, pos):
-        if (level, pos) in seen:
-            return None  # grown already, from an earlier member of S
-        seen.add((level, pos))
-        means = pyramid(_deviation(b.values[mesh.cell_slice(level, pos)]), np.mean)
-        omega[level][pos] = means[0][0]
-        return broadcast(means, np.maximum) > 4.0 * means[0][0]
+        means = pyramid(_deviation(b.values.reshape(1 << level, -1)[pos]), np.mean)
+        omega[level][pos] = means[0][:, 0]
+        return np.ones(pos.size, dtype=bool), broadcast(means, np.maximum) > 4.0 * means[0]
 
-    enlarged = _stopping_tree(mesh, family.members, rule)
+    enlarged, _ = _stopping_forest(mesh, family.members, rule)
     ratio = 0.0
     for level, _, pos in _by_level(enlarged):
         h = _deviation(b.values.reshape(1 << level, -1)[pos])

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from dyadlab.errors import CalibrationError, InfeasibleError, ResolutionError
-from dyadlab.grid import standard_grid
+from dyadlab.grid import sample_random_grid, standard_grid
 from dyadlab.operators import (
     SignSymbol,
+    _deviation,
     martingale_transform,
     maximal_dyadic,
     oscillations,
@@ -25,8 +26,7 @@ from dyadlab.signal import Mesh, StepFunction, broadcast, inner, pyramid
 from dyadlab.sparse import (
     SparseFamily,
     _ancestor_sums,
-    _maximal_intervals,
-    _subtree,
+    _stopping_children,
     carleson_constant,
     construct_certificates,
     lacey_dominate,
@@ -299,6 +299,26 @@ def test_lacey_rejects_zero_mass():
         lacey_dominate(StepFunction(mesh, np.zeros(mesh.n_cells)), sigma)
 
 
+@pytest.mark.parametrize(
+    "top", [(5, 0), (2, 7), (1, -1), (-1, 0)], ids=["below the cells", "past the level", "negative position", "negative level"]
+)
+def test_lacey_rejects_a_top_off_the_tree(top):
+    mesh = unit_mesh(4)
+    rng = np.random.default_rng(8)
+    f = StepFunction(mesh, rng.standard_normal(mesh.n_cells))
+    with pytest.raises(ResolutionError, match="not addressable"):
+        lacey_dominate(f, SignSymbol.random(mesh, rng), top=top)
+
+
+@pytest.mark.parametrize("c0", [math.inf, -math.inf, math.nan, 0.0, -4.0])
+def test_lacey_rejects_a_c0_that_is_not_finite_and_positive(c0):
+    mesh = unit_mesh(4)
+    rng = np.random.default_rng(8)
+    f = StepFunction(mesh, rng.standard_normal(mesh.n_cells))
+    with pytest.raises(ValueError, match="C0 must be finite and positive"):
+        lacey_dominate(f, SignSymbol.random(mesh, rng), C0=c0)
+
+
 def test_lacey_too_small_c0_raises():
     mesh = unit_mesh(8)
     rng = np.random.default_rng(9)
@@ -363,18 +383,32 @@ def blocky_mask(rng, n):
     return mask
 
 
+def stopping_children_lists(mesh, level, pos, masks):
+    """`_stopping_children` of a level's rows, as one left-to-right list per row."""
+    out = [[] for _ in pos]
+    for child_level, child_pos, rows in _stopping_children(level, np.array(pos, dtype=np.int64), np.array(masks)):
+        for row, p in zip(rows.tolist(), child_pos.tolist()):
+            out[row].append((child_level, p))
+    return [sorted(o, key=lambda m: m[1] << (mesh.depth - m[0])) for o in out]
+
+
 def test_maximal_intervals_match_recursion():
+    # all the rows of a level in one call, each against the recursion on its own
     rng = np.random.default_rng(61)
     for depth in range(1, 11):
         mesh = unit_mesh(depth)
         for _ in range(30):
             level = int(rng.integers(0, depth + 1))
-            pos = int(rng.integers(0, 1 << level))
-            stopping = blocky_mask(rng, 1 << (depth - level))
-            got = _maximal_intervals(mesh, level, pos, stopping)
-            assert got == maximal_intervals_oracle(mesh, level, pos, stopping)
-        for stopping in (np.ones(1 << depth, bool), np.zeros(1 << depth, bool)):
-            assert _maximal_intervals(mesh, 0, 0, stopping) == maximal_intervals_oracle(mesh, 0, 0, stopping)
+            pos = sorted(rng.choice(1 << level, size=int(rng.integers(1, min(1 << level, 6) + 1)), replace=False).tolist())
+            masks = [blocky_mask(rng, 1 << (depth - level)) for _ in pos]
+            want = [maximal_intervals_oracle(mesh, level, p, m) for p, m in zip(pos, masks)]
+            for j, (p, w) in enumerate(zip(pos, want)):
+                if w == [(level, p)]:  # a whole-row mask gives its halves, and a stopping cell nothing
+                    want[j] = [(level + 1, 2 * p), (level + 1, 2 * p + 1)] if level < depth else []
+            assert stopping_children_lists(mesh, level, pos, masks) == want
+        ones, zeros = np.ones((1, 1 << depth), bool), np.zeros((1, 1 << depth), bool)
+        assert stopping_children_lists(mesh, 0, [0], ones) == [[(1, 0), (1, 1)]]
+        assert stopping_children_lists(mesh, 0, [0], zeros) == [[]]
 
 
 def random_owner(rng, mesh, n_members):
@@ -409,6 +443,82 @@ def test_to_json_runs_match_per_member_encoding():
     fam = random_family(unit_mesh(4), rng)
     assert all("certificate_cells" not in row for row in json.loads(fam.to_json())["members"])
     assert SparseFamily.from_json(fam.mesh, fam.to_json()).owner is None
+
+
+def reference_to_json(family: SparseFamily) -> str:
+    """`SparseFamily.to_json` one member at a time: each grid address from
+    `first_index`, each certificate's runs grown cell by cell."""
+    mesh = family.mesh
+    rows = [{"generation": mesh.root.j + l, "index": mesh.first_index(l) + p} for l, p in family.members]
+    if family.owner is not None:
+        for i, row in enumerate(rows):
+            row["certificate_cells"] = rle_oracle(family.owner == i)
+    return json.dumps({"depth": mesh.depth, "eta": family.eta, "members": rows})
+
+
+def test_to_json_matches_the_member_loop_byte_for_byte():
+    rng = np.random.default_rng(63)
+    meshes = [unit_mesh(d) for d in (1, 4, 9)]
+    meshes += [Mesh(sample_random_grid(seed, -6, 14).interval(-2, 5 - 3 * seed), 8) for seed in range(3)]
+    # grid indices far beyond int64: the per-level first indices stay exact integers
+    meshes.append(Mesh(standard_grid(890, 1000).interval(900, 3 * 2 ** 80), 6))
+    for mesh in meshes:
+        for _ in range(8):
+            fam = random_family(mesh, rng, density=float(rng.uniform(0.05, 0.5)))
+            shuffled = SparseFamily(mesh, [fam.members[i] for i in rng.permutation(len(fam.members))])
+            assert shuffled.to_json() == reference_to_json(shuffled)
+            shuffled.owner = random_owner(rng, mesh, len(shuffled.members))
+            shuffled.eta = shuffled.measured_eta() if np.any(shuffled.owner >= 0) else 0.0
+            assert shuffled.to_json() == reference_to_json(shuffled)
+    f = StepFunction(unit_mesh(10), rng.standard_normal(1 << 10))
+    lacey, _ = lacey_dominate(f, SignSymbol.random(f.mesh, rng))
+    assert lacey.to_json() == reference_to_json(lacey)
+    # more members than one encoding block of 4096: every cell of a depth-13 mesh and a few above
+    mesh = Mesh(sample_random_grid(5, -3, 14).interval(0, 1), 13)
+    members = [(13, p) for p in range(1 << 13)] + [(l, 0) for l in range(13)]
+    fam = SparseFamily(mesh, [members[i] for i in rng.permutation(len(members))])
+    assert fam.to_json() == reference_to_json(fam)
+    fam.owner = random_owner(rng, mesh, len(fam.members))
+    fam.eta = fam.measured_eta()
+    assert fam.to_json() == reference_to_json(fam)
+
+
+def reference_member_check(mesh, members):
+    """The member checks one member at a time, in member order: (error type, message)."""
+    seen = set()
+    for level, pos in members:
+        if not (0 <= level <= mesh.depth and 0 <= pos < (1 << level)):
+            return ResolutionError, f"member ({level},{pos}) outside the mesh tree"
+        if (level, pos) in seen:
+            return ValueError, f"duplicate member ({level},{pos})"
+        seen.add((level, pos))
+    return None, None
+
+
+def test_member_checks_match_the_member_loop():
+    rng = np.random.default_rng(64)
+    mesh = unit_mesh(6)
+    bad = [(-1, 0), (7, 0), (3, 8), (3, -1), (0, 1), (2, 10 ** 30), (10 ** 20, 0), (-(10 ** 20), 5)]
+    outcomes = collections.Counter()
+    for _ in range(400):
+        members = [(l, int(rng.integers(0, 1 << l))) for l in rng.integers(0, 7, size=int(rng.integers(0, 30))).tolist()]
+        members = list(dict.fromkeys(members))
+        if members and rng.random() < 0.5:  # a duplicate somewhere after its first occurrence
+            i = int(rng.integers(0, len(members)))
+            members.insert(int(rng.integers(i + 1, len(members) + 1)), members[i])
+        if rng.random() < 0.5:
+            members.insert(int(rng.integers(0, len(members) + 1)), bad[int(rng.integers(0, len(bad)))])
+        kind, message = reference_member_check(mesh, members)
+        if kind is None:
+            assert SparseFamily(mesh, members).members == members
+        else:
+            with pytest.raises(kind) as got:
+                SparseFamily(mesh, members)
+            assert str(got.value) == message
+        outcomes[getattr(kind, "__name__", "ok")] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+    with pytest.raises(TypeError):
+        SparseFamily(mesh, [(1.0, 0)])
 
 
 SYMBOLS = (
@@ -452,7 +562,8 @@ def reference_lor_ratio(mesh, b, members) -> float:
         omega[level][pos] = pyramid(h, np.mean)[0][0]
     ratio = 0.0
     for (level, pos), h in deviations.items():
-        rhs = broadcast(_subtree(omega, level, pos), np.add)
+        below = [a[pos << (l - level) : (pos + 1) << (l - level)] for l, a in enumerate(omega[level:], level)]
+        rhs = broadcast(below, np.add)
         ratio = max(ratio, float(np.max(np.divide(h, rhs, out=np.zeros_like(h), where=h > 0.0))))
     return ratio
 
@@ -501,6 +612,44 @@ def test_lor_enlargement_is_sparse():
             assert ratio <= 8.0
             ok, report = verify_sparse(construct_certificates(enlarged, carleson_constant(enlarged)))
             assert ok, report
+
+
+def reference_lor_walk(mesh, b, tops) -> list:
+    """The members of S~ as a depth-first walk lists them: the tops in order,
+    each member before the intervals below it and the rightmost maximal
+    stopping interval first, skipping what an earlier top's tree reached.
+    One interval's cells at a time, with the stopping rule's float operations."""
+    members, seen, stack = [], set(), list(reversed(tops))
+    while stack:
+        level, pos = stack.pop()
+        if (level, pos) in seen:
+            continue
+        seen.add((level, pos))
+        members.append((level, pos))
+        means = pyramid(_deviation(b.values[mesh.cell_slice(level, pos)]), np.mean)
+        stack.extend(maximal_intervals_oracle(mesh, level, pos, broadcast(means, np.maximum) > 4.0 * means[0][0]))
+    return members
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_lor_members_come_in_the_walk_order(depth):
+    # shuffled tops at every level, and two intervals that the root's tree
+    # reaches listed as tops: one before the root, one after it
+    rng = np.random.default_rng([depth, 24])
+    mesh = unit_mesh(depth)
+    reached = 0
+    for i in range(12):
+        b = StepFunction(mesh, SYMBOLS[i % 3](rng, mesh.n_cells))
+        grown = reference_lor_walk(mesh, b, [(0, 0)])[1:]
+        extra = [grown[j] for j in sorted(rng.choice(len(grown), size=min(2, len(grown)), replace=False))]
+        others = [m for m in random_family(mesh, rng, density=float(rng.uniform(0.01, 0.2))).members if m not in extra]
+        others = [others[j] for j in rng.permutation(len(others)) if others[j] != (0, 0)]
+        cut = int(rng.integers(0, len(others) + 1))
+        tops = extra[:1] + others[:cut] + [(0, 0)] + others[cut:] + extra[1:]
+        enlarged, _ = lor_enlargement(SparseFamily(mesh, tops), b)
+        assert enlarged.members == reference_lor_walk(mesh, b, tops)
+        reached += len(extra)
+    assert reached >= 6 or depth < 4  # trees below the root need room to grow
 
 
 def test_sparse_operator_a2_witness():
@@ -570,7 +719,7 @@ def reference_lacey_build(floc: StepFunction, sigma: SignSymbol, top, c0) -> Spa
             )
         owner[sl][~stopping] = len(members)
         members.append((level, pos))
-        stack.extend(_maximal_intervals(mesh, level, pos, stopping))
+        stack.extend(maximal_intervals_oracle(mesh, level, pos, stopping))
     return SparseFamily(mesh, members, owner)
 
 
@@ -640,6 +789,48 @@ def test_lacey_engine_matches_reference_on_every_data_kind(depth):
             for c0 in [None, 4.0, 0.5]:
                 got = lacey_outcome(lacey_dominate, f, sigma, top=top, C0=c0)
                 assert got == lacey_outcome(reference_lacey_dominate, f, sigma, top=top, C0=c0)
+
+
+def reference_violators(floc: StepFunction, sigma: SignSymbol, c0) -> list:
+    """Every interval of Lacey's walk from the root whose stopping set exceeds
+    half of it, in the walk's order, without expanding any of them."""
+    mesh, found, stack = floc.mesh, [], [(0, 0)]
+    while stack:
+        level, pos = stack.pop()
+        sl = mesh.cell_slice(level, pos)
+        avg_abs = float(np.mean(np.abs(floc.values[sl])))
+        if avg_abs == 0.0:
+            continue
+        local = np.zeros(mesh.n_cells)
+        local[sl] = floc.values[sl]
+        g = StepFunction(mesh, local)
+        stopping = np.maximum(maximal_dyadic(g).values[sl], sharp_truncation(g, sigma).values[sl]) > 0.5 * c0 * avg_abs
+        if int(stopping.sum()) * 2 > sl.stop - sl.start:
+            found.append((level, pos))
+        else:
+            stack.extend(maximal_intervals_oracle(mesh, level, pos, stopping))
+    return found
+
+
+@pytest.mark.parametrize("depth", [6, 8, 10])
+def test_lacey_names_the_first_violator_of_the_walk(depth):
+    # C0 near the top's own threshold on heavy-tailed data: violators below
+    # the top, and violators at a coarse level that the walk meets after one
+    # at a finer level
+    mesh = unit_mesh(depth)
+    seen = collections.Counter()
+    for seed in range(20):
+        rng = np.random.default_rng([depth, seed, 5])
+        f, sigma = StepFunction(mesh, rng.standard_normal(mesh.n_cells) ** 3), SignSymbol.random(mesh, rng)
+        for c0 in (2.5, 3.0, 3.5, 4.0, 5.0):
+            got = lacey_outcome(lacey_dominate, f, sigma, C0=c0)
+            assert got == lacey_outcome(reference_lacey_dominate, f, sigma, C0=c0)
+            violators = reference_violators(f, sigma, c0)
+            if violators:
+                assert got == f"stopping set exceeds half of ({violators[0][0]},{violators[0][1]}) at C0={c0}"
+                seen["below the top"] += violators[0] != (0, 0)
+                seen["coarser one later"] += any(level < violators[0][0] for level, _ in violators[1:])
+    assert seen["below the top"] >= 10 and seen["coarser one later"] >= 3, seen
 
 
 def replayed_starts(floc: StepFunction, sigma: SignSymbol, level: int) -> np.ndarray:

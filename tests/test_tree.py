@@ -26,6 +26,7 @@ from dyadlab.signal import (
     StepFunction,
     analyze,
     broadcast,
+    haar_refine,
     lp_norm,
     means_pyramid,
     partial_sums,
@@ -168,6 +169,35 @@ def test_broadcast_matches_the_repeat_expansion(depth):
         for finest in {0, 1, depth // 2, depth}:
             got = broadcast(levels[: finest + 1], combine)
             assert_bits_equal(got, reference_broadcast(levels[: finest + 1], combine))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 9, 12])
+def test_batched_kernels_match_the_row_by_row_calls(depth):
+    # a (2, 3, N) batch: every row of pyramid, broadcast and haar_refine is
+    # bit for bit the 1-D call on that row; an empty batch keeps its shape
+    rng = np.random.default_rng(2000 + depth)
+    batch = np.stack([wide_range_values(depth)] + [rng.standard_normal(1 << depth) for _ in range(5)]).reshape(2, 3, -1)
+    rows = list(np.ndindex(batch.shape[:-1]))
+    for data in (batch, batch > 0.5):
+        for reduce in (np.mean, np.sum, np.min, np.max):
+            got = pyramid(data, reduce)
+            for row in rows:
+                for a, b in zip(got, pyramid(data[row], reduce), strict=True):
+                    assert a.dtype == b.dtype
+                    assert_bits_equal(a[row], b)
+    levels = pyramid(batch, np.mean)
+    for combine in (np.add, np.maximum):
+        for finest in {0, 1, depth // 2, depth}:
+            got = broadcast(levels[: finest + 1], combine)
+            for row in rows:
+                assert_bits_equal(got[row], broadcast([a[row] for a in levels[: finest + 1]], combine))
+    for cur, step in zip(levels[:-1], (rng.standard_normal(a.shape) for a in levels[:-1])):
+        got = haar_refine(cur, step)
+        for row in rows:
+            assert_bits_equal(got[row], haar_refine(cur[row], step[row]))
+    empty = pyramid(np.zeros((0, 1 << depth)), np.mean)
+    assert [a.shape for a in empty] == [(0, 1 << l) for l in range(depth + 1)]
+    assert broadcast(empty, np.add).shape == (0, 1 << depth)
 
 
 @pytest.mark.parametrize("depth", DEPTHS_1_16)
