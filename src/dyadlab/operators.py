@@ -22,7 +22,7 @@ from .signal import (
     HaarSpectrum,
     Mesh,
     StepFunction,
-    _prefix_at,
+    _Primitive,
     _resolve,
     analyze,
     broadcast,
@@ -77,19 +77,16 @@ def maximal_over_grid(f: StepFunction, grid, points) -> np.ndarray:
     window generations of the supplied grid.
     """
     pts = np.asarray(points, dtype=float)
-    edges = f.mesh.cell_edges()
-    absf = np.abs(f.values)
-    pref = StepFunction(f.mesh, absf).prefix_integrals()
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("maximal_over_grid needs finite points")
+    primitive = _Primitive(StepFunction(f.mesh, np.abs(f.values)))
     best = np.zeros(pts.shape)
     for j in range(grid.j_min, grid.j_max + 1):
         length = grid.generation_length(j)
         off = grid.r * float(grid.shift(j))
         ks = np.floor((pts - off) / length)
         lefts = off + ks * length
-        avg = (
-            _prefix_at(edges, pref, absf, lefts + length)
-            - _prefix_at(edges, pref, absf, lefts)
-        ) / length
+        avg = (primitive(lefts + length) - primitive(lefts)) / length
         best = np.maximum(best, avg)
     return best
 
@@ -361,8 +358,9 @@ def shifted_grid_transform(f: StepFunction, r: float, shifts, j_lo: int, j_hi: i
     pattern, so only intervals holding an edge count and each is evaluated
     once.  An interval no longer than a cell holds a
     single edge, hence a single jump Delta of f, and d_I = Delta |I| min(t, 1-t)
-    in closed form with t the edge's relative position; coarser intervals
-    take d_I from the primitive of f.  On the aligned grid (r = 1, zero
+    in closed form with t the edge's relative position; coarser intervals take
+    d_I from three lookups of the primitive of f, at cells found without a
+    search on the uniform edges.  On the aligned grid (r = 1, zero
     shifts, generations inside the mesh) this reproduces the in-tree
     Petermichl shift exactly: the deepest coefficient level cell-averages to
     zero, matching the window truncation.
@@ -376,11 +374,11 @@ class _WindowTransforms:
     window (j_lo, j_hi) in `windows`, one row each, on the sampled grid of
     each call (scale r, offsets x_j for j in `gens`).  The generations of all
     windows are evaluated once, in (generation x edge) blocks of at most
-    TRANSFORM_BLOCK_ELEMENTS elements, and each generation's row is added to
-    every window holding it.  A window thus sums its rows in generation order,
-    so its result is bit for bit that of a call with it alone.
+    TRANSFORM_BLOCK_ELEMENTS elements.  Each window adds its rows of a block
+    to its running sum in one reduction, in generation order, so its result
+    is bit for bit that of a call with it alone.
 
-    The signal's edges, primitive and jumps are computed once, and every block
+    The signal's padded primitive and jumps are built once, and every block
     of every call writes into the same block-sized work arrays, so that the
     heap does not shrink and regrow, refaulting their pages, once per sample.
     A call returns one of these arrays, overwritten by the next call.
@@ -388,21 +386,24 @@ class _WindowTransforms:
 
     def __init__(self, f: StepFunction, windows):
         mesh = f.mesh
-        self.windows = windows
         self.cell_length = mesh.cell_length
-        self.edges = mesh.cell_edges()
-        self.pref = f.prefix_integrals()
-        self.vals = f.values
+        self.primitive = _Primitive(f)
+        self.edges = self.primitive.bounds[1:-1]
         self.jumps = np.diff(f.values, prepend=0.0, append=0.0)
         self.gens = np.arange(min(lo for lo, _ in windows), max(hi for _, hi in windows) + 1)
         self.scales = 2.0 ** -self.gens.astype(float)
         self.step = max(1, TRANSFORM_BLOCK_ELEMENTS // self.edges.size)
         shape = (min(self.step, self.gens.size), self.edges.size)
-        self.t, self.ke, self.phi, self.d, self.scratch = (np.empty(shape) for _ in range(5))
+        self.t, self.ke, self.scratch = (np.empty(shape) for _ in range(3))
+        # phi, then d: once phi has multiplied d, its last row is free to hold the running
+        # sum a window carries from an earlier block, so that it is added before its rows
+        self.phi_d = np.empty((2 * shape[0], shape[1]))
         # the gather index shares the scratch's memory: a block writes it on
         # the rows [:wide] after its last read of the scratch there, and uses
         # the scratch afterwards on the rows [wide:] only
         self.index = self.scratch.view(np.int64)
+        # (first row, last row, window) by first row: a carry row may hold a row of an earlier-starting window
+        self.spans = sorted((lo - self.gens[0], hi - self.gens[0], w) for w, (lo, hi) in enumerate(windows))
         self.p_edges = np.empty((len(windows), self.edges.size))
         self.out = np.empty((len(windows), mesh.n_cells))
 
@@ -415,7 +416,9 @@ class _WindowTransforms:
             ell = ells[start : start + self.step, None]
             off = offs[start : start + self.step, None]
             rows = ell.shape[0]
-            t, ke, phi, d, s = (a[:rows] for a in (self.t, self.ke, self.phi, self.d, self.scratch))
+            t, ke, phi, s = (a[:rows] for a in (self.t, self.ke, self.phi_d, self.scratch))
+            d_ext = self.phi_d[self.t.shape[0] - 1 : self.t.shape[0] + rows]
+            d = d_ext[1:]
             np.subtract(edges, off, out=t)
             np.divide(t, ell, out=t)
             np.floor(t, out=ke)
@@ -428,40 +431,39 @@ class _WindowTransforms:
             # lengths decrease down the rows: the first `wide` generations are coarser than a cell
             wide = int(np.count_nonzero(ell > self.cell_length))
             if wide:
-                _interval_differences(
-                    edges, self.pref, self.vals, off[:wide, 0], ell[:wide, 0], ke[:wide],
-                    d[:wide], self.index[:wide],
-                )
+                _interval_differences(self.primitive, off[:wide, 0], ell[:wide, 0], ke[:wide], d[:wide], self.index[:wide])
             # below the cell scale d = jumps * ell * min(t, 1 - t)
             np.subtract(1.0, t[wide:], out=s[wide:])
             np.minimum(t[wide:], s[wide:], out=s[wide:])
             np.multiply(self.jumps, ell[wide:], out=d[wide:])
             d[wide:] *= s[wide:]
             d *= phi
-            for j, row in zip(self.gens[start : start + self.step], d):
-                for w, (lo, hi) in enumerate(self.windows):
-                    if lo <= j <= hi:
-                        p_edges[w] += row
+            # window w's rows in this block are d_ext[a + 1 : b + 1], its running sum goes in d_ext[a]
+            for lo, hi, w in self.spans:
+                a, b = max(lo - start, 0), min(hi - start + 1, rows)
+                if a < b:
+                    d_ext[a] = p_edges[w]
+                    np.add.reduce(d_ext[a : b + 1], axis=0, out=p_edges[w])
         np.subtract(p_edges[:, 1:], p_edges[:, :-1], out=self.out)
         self.out /= self.cell_length
         return self.out
 
 
-def _interval_differences(edges, pref, vals, off, ell, ke, out, index):
+def _interval_differences(primitive, off, ell, ke, out, index):
     """d_I (right-half minus left-half integral of f) at the interval indices
     `ke`, one row per generation and nondecreasing along the row, written to
     `out`; `index` is an int64 work array of ke's shape.  Each distinct
-    interval costs three lookups of the primitive of f."""
+    interval costs three lookups of the padded primitive of f."""
     lo = ke[:, 0]
     counts = (ke[:, -1] - lo).astype(np.int64) + 1
     first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    row = np.repeat(np.arange(counts.size), counts)
-    ks = np.arange(first[-1] + counts[-1]) - first[row] + lo[row]
-    lefts = off[row] + ks * ell[row]
-    # one lookup at a time keeps the temporaries of `_prefix_at` m points long
-    right = _prefix_at(edges, pref, vals, lefts + ell[row])
-    middle = _prefix_at(edges, pref, vals, lefts + 0.5 * ell[row])
-    d = right - 2.0 * middle + _prefix_at(edges, pref, vals, lefts)
+    ks = np.arange(first[-1] + counts[-1]) + np.repeat(lo - first, counts)
+    ells = np.repeat(ell, counts)
+    lefts = np.repeat(off, counts) + ks * ells
+    # one lookup at a time keeps the temporaries of the primitive m points long
+    right = primitive(lefts + ells)
+    middle = primitive(lefts + 0.5 * ells)
+    d = right - 2.0 * middle + primitive(lefts)
     np.subtract(ke, lo[:, None], out=index, casting="unsafe")
     index += first[:, None]
     # every index lies in [0, m); mode="raise" would gather through a temporary copy of `out`

@@ -146,13 +146,17 @@ class StepFunction:
         vals = np.zeros(mesh.n_cells)
         given = np.zeros(mesh.n_cells, dtype=bool)
         with open(path) as fh:
-            reader = csv.DictReader(fh, restval="nan")  # a short row fails the finite check
-            if not {"cell_index", "value"} <= set(reader.fieldnames or ()):
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            column = {name: k for k, name in enumerate(header)}  # as in csv.DictReader, a repeated name: its last column
+            if not {"cell_index", "value"} <= set(column):
                 raise ValueError("signal CSV needs a cell_index and a value column")
-            for row in reader:
-                i, v = int(row["cell_index"]), float(row["value"])
-                if not (0 <= i < mesh.n_cells and math.isfinite(v)):
-                    raise ValueError(f"row {i},{v}: need cell_index in [0, {mesh.n_cells}) and a finite value")
+            at_i, at_v, width, n = column["cell_index"], column["value"], len(header), mesh.n_cells
+            for row in filter(None, reader):  # blank lines are skipped
+                row += ["nan"] * (width - len(row))  # a short row fails the finite check
+                i, v = int(row[at_i]), float(row[at_v])
+                if not (0 <= i < n and math.isfinite(v)):
+                    raise ValueError(f"row {i},{v}: need cell_index in [0, {n}) and a finite value")
                 if given[i] and vals[i] != v:
                     raise ValueError(f"signal CSV gives cell {i} two different values")
                 vals[i], given[i] = v, True
@@ -167,14 +171,34 @@ def _coerce(f: StepFunction, other) -> np.ndarray:
     return np.asarray(other, dtype=float)
 
 
-def _prefix_at(edges, pref, values, xs):
-    """Primitive of the zero-extended step function at arbitrary points."""
-    xs = np.asarray(xs, dtype=float)
-    idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, len(values) - 1)
-    inside = (xs > edges[0]) & (xs < edges[-1])
-    out = np.where(xs >= edges[-1], pref[-1], 0.0)
-    out = np.where(inside, pref[idx] + values[idx] * (xs - edges[idx]), out)
-    return out
+class _Primitive:
+    """Primitive of the zero-extended step function at arbitrary finite points:
+    P[u] + V[u] (x - E[u]), with u the number of cell edges at or left of x and
+    the primitive, values and left edges padded with one zero cell at each end."""
+
+    def __init__(self, f: StepFunction):
+        edges = f.mesh.cell_edges()
+        # slot u holds [bounds[u], bounds[u + 1]); NaN leaves the slots outside the mesh open
+        self.bounds = np.concatenate(([np.nan], edges, [np.nan]))
+        self.lefts = np.concatenate((edges[:1], edges))
+        self.pref = np.concatenate(([0.0], f.prefix_integrals()))
+        self.vals = np.concatenate(([0.0], f.values, [0.0]))
+        self.origin, self.cell_length = edges[0], f.mesh.cell_length
+
+    def slots(self, xs: np.ndarray) -> np.ndarray:
+        """np.searchsorted(edges, xs, "right") without a search: the edges are
+        uniform, so floor((x - e_0) / h) + 1 is the slot up to rounding, and
+        the estimate is moved against the edges themselves until it holds x."""
+        u = np.clip((xs - self.origin) / self.cell_length + 1.0, 0.0, self.vals.size - 1).astype(np.intp)
+        while True:
+            fix = np.subtract(xs >= self.bounds.take(u + 1), xs < self.bounds.take(u), dtype=np.intp)
+            if not fix.any():
+                return u
+            u += fix
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        u = self.slots(xs)
+        return self.pref.take(u) + self.vals.take(u) * (xs - self.lefts.take(u))
 
 
 @dataclass

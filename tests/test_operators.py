@@ -532,13 +532,69 @@ def test_average_shift_tracks_hilbert():
     assert corr >= 0.9
 
 
+def searchsorted_primitive(edges, pref, values, xs):
+    """The primitive of the zero-extended step function at arbitrary points,
+    by a binary search of the cell edges."""
+    idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, len(values) - 1)
+    inside = (xs > edges[0]) & (xs < edges[-1])
+    out = np.where(xs >= edges[-1], pref[-1], 0.0)
+    return np.where(inside, pref[idx] + values[idx] * (xs - edges[idx]), out)
+
+
+def reference_maximal_over_grid(f, grid, points):
+    """`maximal_over_grid` with the binary-search primitive."""
+    edges = f.mesh.cell_edges()
+    absf = np.abs(f.values)
+    pref = StepFunction(f.mesh, absf).prefix_integrals()
+    best = np.zeros(points.shape)
+    for j in range(grid.j_min, grid.j_max + 1):
+        length = grid.generation_length(j)
+        off = grid.r * float(grid.shift(j))
+        lefts = off + np.floor((points - off) / length) * length
+        avg = (
+            searchsorted_primitive(edges, pref, absf, lefts + length)
+            - searchsorted_primitive(edges, pref, absf, lefts)
+        ) / length
+        best = np.maximum(best, avg)
+    return best
+
+
+def test_primitive_and_maximal_over_grid_match_the_binary_search():
+    # the padded primitive against the binary search, bit for bit, at the
+    # edges, one double beside them and far outside the mesh, on grids with
+    # r != 1 and roots away from 0; maximal_over_grid scans every window
+    # generation, most of them coarser than the mesh
+    from dyadlab.signal import _Primitive
+
+    rng = np.random.default_rng(2025)
+    for depth in (1, 2, 5, 9, 12):
+        grid = sample_random_grid(rng, -6, depth + 4)
+        mesh = Mesh(grid.interval(int(rng.integers(-2, 2)), int(rng.integers(-5000, 5000))), depth)
+        f = rand_f(mesh, rng)
+        edges = mesh.cell_edges()
+        span = 3 * mesh.root.length
+        xs = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+             rng.uniform(mesh.root.left - span, mesh.root.right + span, 2000)]
+        )
+        np.testing.assert_array_equal(
+            _Primitive(f)(xs), searchsorted_primitive(edges, f.prefix_integrals(), f.values, xs)
+        )
+        np.testing.assert_array_equal(maximal_over_grid(f, grid, xs), reference_maximal_over_grid(f, grid, xs))
+        block = xs[-6:].reshape(2, 3)  # points of any shape, a lone point included
+        np.testing.assert_array_equal(maximal_over_grid(f, grid, block), reference_maximal_over_grid(f, grid, block))
+        assert maximal_over_grid(f, grid, float(xs[-1])) == reference_maximal_over_grid(f, grid, xs[-1:])[0]
+    for bad in (np.nan, np.inf, -np.inf):  # the binary search read 0 or warned there
+        with pytest.raises(ValueError, match="finite points"):
+            maximal_over_grid(f, grid, [0.0, bad])
+
+
 def reference_window_transforms(f, r, shifts, windows):
     """The transform of the sampled grid (r, shifts) for each window, with
     fresh (generation x edge) arrays per block: the allocate-per-block
     evaluation that the buffered `_WindowTransforms` replaced, which must
     match it bit for bit."""
     from dyadlab.operators import TRANSFORM_BLOCK_ELEMENTS
-    from dyadlab.signal import _prefix_at
 
     def interval_differences(edges, pref, vals, off, ell, ke):
         lo = ke[:, 0]
@@ -549,7 +605,7 @@ def reference_window_transforms(f, r, shifts, windows):
         lefts = off[row] + ks * ell[row]
         m = lefts.size
         points = np.concatenate([lefts + ell[row], lefts + 0.5 * ell[row], lefts])
-        p = _prefix_at(edges, pref, vals, points)
+        p = searchsorted_primitive(edges, pref, vals, points)
         d = p[:m] - 2.0 * p[m : 2 * m] + p[2 * m :]
         return d[first[:, None] + (ke - lo[:, None]).astype(np.int64)]
 

@@ -13,6 +13,7 @@ from dyadlab.signal import (
     HaarSpectrum,
     Mesh,
     StepFunction,
+    _Primitive,
     analyze,
     average,
     haar_function,
@@ -282,3 +283,77 @@ def test_from_csv_on_custom_grid(tmp_path):
     g = StepFunction.from_csv(sig, meta, grid=grid)
     np.testing.assert_array_equal(g.values, f.values)
     assert g.mesh.root == mesh.root
+
+
+def test_primitive_slots_are_the_binary_search_of_the_edges():
+    # the uniform-edge estimate, corrected against the edges, is
+    # searchsorted(edges, x, "right") at every point: the edges themselves,
+    # their neighbours one double either way, and points up to three root
+    # lengths outside the mesh, on grids with r != 1 and roots far from 0
+    rng = np.random.default_rng(25)
+    for depth in range(1, 21):
+        grid = sample_random_grid(rng, -4, depth + 6)
+        mesh = Mesh(grid.interval(int(rng.integers(-3, 3)), int(rng.integers(-10 ** 6, 10 ** 6))), depth)
+        assert grid.r != 1.0
+        f = random_function(mesh, rng)
+        edges = mesh.cell_edges()
+        length = mesh.root.length
+        outside = rng.uniform(mesh.root.left - 3 * length, mesh.root.right + 3 * length, 1000)
+        far = np.array([mesh.root.left - 3 * length, mesh.root.right + 3 * length])
+        xs = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), outside, far])
+        np.testing.assert_array_equal(_Primitive(f).slots(xs), np.searchsorted(edges, xs, "right"), err_msg=f"depth {depth}")
+
+
+def dictreader_cells(path, n_cells):
+    """The signal CSV's cell values as `csv.DictReader` reads them: the parse
+    loop that column positions replaced."""
+    import csv
+
+    vals = np.zeros(n_cells)
+    given = np.zeros(n_cells, dtype=bool)
+    with open(path) as fh:
+        reader = csv.DictReader(fh, restval="nan")
+        if not {"cell_index", "value"} <= set(reader.fieldnames or ()):
+            raise ValueError("signal CSV needs a cell_index and a value column")
+        for row in reader:
+            i, v = int(row["cell_index"]), float(row["value"])
+            if not (0 <= i < n_cells and math.isfinite(v)):
+                raise ValueError(f"row {i},{v}: need cell_index in [0, {n_cells}) and a finite value")
+            if given[i] and vals[i] != v:
+                raise ValueError(f"signal CSV gives cell {i} two different values")
+            vals[i], given[i] = v, True
+    return vals
+
+
+CSV_PARITY = {
+    "plain": "cell_index,value\n0,1.5\n1,-2\n2,3e-3\n3,4\n",
+    "duplicate header": "cell_index,value,value\n0,1,9\n1,2,8\n2,3,7\n3,4,6\n",
+    "duplicate header, short row": "value,cell_index,value\n1,0,5\n2,1\n",
+    "blank line": "cell_index,value\n\n0,1\n\n1,2\n2,3\n\n3,4\n\n",
+    "blank first line": "\ncell_index,value\n0,1\n",
+    "extra column": "cell_index,value,note\n0,1,a\n1,2,b,c,d\n2,3\n3,4,\n",
+    "swapped column order": "value,cell_index\n1,0\n2,1\n3,2\n4,3\n",
+    "quoted field": 'cell_index,"value"\n"0","1.25"\n1,"2,5"\n',
+    "quoted number": 'cell_index,value\n"0", 1.25\n"1","-0.5"\n',
+    "short row": "cell_index,value\n0,1\n1\n2,3\n",
+    "short row without an index": "value,cell_index\n1,0\n2\n",
+    "missing column": "cell_index,val\n0,1\n",
+    "empty file": "",
+    "repeated cell": "cell_index,value\n0,1\n0,1\n1,2\n0,3\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_PARITY))
+def test_from_csv_reads_as_dictreader_does(tmp_path, case):
+    # same values, or the same error with the same message, on every layout
+    sig, meta = tmp_path / "s.csv", tmp_path / "s.json"
+    sig.write_text(CSV_PARITY[case])
+    meta.write_text('{"root_left": 0.0, "root_right": 1.0, "depth": 2}')
+    try:
+        want = dictreader_cells(sig, 4)
+    except ValueError as err:
+        with pytest.raises(type(err)) as got:
+            StepFunction.from_csv(sig, meta)
+        assert str(got.value) == str(err)
+    else:
+        np.testing.assert_array_equal(StepFunction.from_csv(sig, meta).values, want)
