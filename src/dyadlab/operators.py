@@ -10,6 +10,7 @@ exact on the mean-zero subspace of the truncated system.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .signal import (
     _resolve,
     analyze,
     broadcast,
+    haar_steps,
     means_pyramid,
     partial_sums,
     synthesize,
@@ -100,9 +102,15 @@ def martingale_transform(f: StepFunction, sigma: SignSymbol) -> StepFunction:
 
 def sharp_truncation(f: StepFunction, sigma: SignSymbol) -> StepFunction:
     """T^sharp f(x) = sup over I' containing x of |sum_{I >= I'} sigma_I <f,h_I> h_I(x)|."""
-    s = analyze(f)
-    signed = HaarSpectrum(f.mesh, 0.0, [c * sg for c, sg in zip(s.levels, sigma.levels)])
-    return StepFunction(f.mesh, broadcast([np.zeros(1), *map(np.abs, partial_sums(signed))], np.maximum))
+    signed = [c * sg for c, sg in zip(analyze(f).levels, sigma.levels)]
+    return StepFunction(f.mesh, _running_peak(np.zeros(1), haar_steps(f.mesh, signed)))
+
+
+def _running_peak(start: np.ndarray, steps) -> np.ndarray:
+    """Per finest entry, the largest |partial sum| from `start` by `steps`
+    (see `partial_sums`) down its ancestors, the empty sum 0 in and `start`
+    out; batch rows apart, each level folded in as it comes."""
+    return broadcast(itertools.chain([np.zeros_like(start)], map(np.abs, partial_sums(start, steps))), np.maximum)
 
 
 def square_function(f: StepFunction) -> StepFunction:

@@ -286,12 +286,13 @@ def pyramid(values: np.ndarray, reduce) -> list[np.ndarray]:
 
 
 def broadcast(levels, combine) -> np.ndarray:
-    """The dual of `pyramid`: push per-level arrays from the coarsest down to
-    the last (finest) one given, each child taking combine(parent, own entry),
-    with combine np.add or np.maximum; the even and odd children are written
-    as strided slices.  Leading axes (..., 2^l) are a batch, as in `pyramid`."""
-    cur = levels[0]
-    for level in levels[1:]:
+    """The dual of `pyramid`: fold per-level arrays (any iterable) from the
+    coarsest down to the last (finest) one given, each child taking
+    combine(parent, own entry), with combine np.add or np.maximum; even and
+    odd children are strided slices.  Leading axes are a batch, as there."""
+    levels = iter(levels)
+    cur = next(levels)
+    for level in levels:
         nxt = np.empty(level.shape, dtype=np.result_type(cur, level))
         combine(cur, level[..., 0::2], out=nxt[..., 0::2])
         combine(cur, level[..., 1::2], out=nxt[..., 1::2])
@@ -343,24 +344,24 @@ def haar_refine(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_steps(s: HaarSpectrum):
-    """Yield per level the value c_I |I|^{-1/2} of each Haar term of s on the right half of I."""
-    for level, coeffs in enumerate(s.levels):
-        yield coeffs * (1.0 / math.sqrt(s.mesh.level_length(level)))
+def haar_steps(mesh: Mesh, levels):
+    """Yield per level l the value c_I |I|^{-1/2} on the right half of I of
+    each Haar term, from coefficient arrays (..., 2^l) of levels 0, 1, ..."""
+    for level, coeffs in enumerate(levels):
+        yield coeffs * (1.0 / math.sqrt(mesh.level_length(level)))
 
 
-def partial_sums(s: HaarSpectrum):
-    """Yield the Haar partial sums of s through levels 0..J-1; the one through
-    level l lives on the 2^(l+1) children of level l, the last on the cells."""
-    cur = np.array([s.mean])
-    for step in haar_steps(s):
+def partial_sums(cur: np.ndarray, steps):
+    """Yield the Haar partial sums from `cur` (..., n), one per step, the k-th
+    on (..., n 2^k).  Leading axes are a batch, as in `haar_refine`."""
+    for step in steps:
         cur = haar_refine(cur, step)
         yield cur
 
 
 def synthesize(s: HaarSpectrum) -> StepFunction:
-    for cells in partial_sums(s):
-        pass
+    for cells in partial_sums(np.array([s.mean]), haar_steps(s.mesh, s.levels)):
+        pass  # only the last sum is kept, each one freed as the next is built
     return StepFunction(s.mesh, cells)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, InfeasibleError, ResolutionError
-from .operators import SignSymbol, _by_level, _deviation, martingale_transform, positive_dyadic_operator
-from .signal import HaarSpectrum, Mesh, StepFunction, _resolve, analyze, broadcast, haar_refine, haar_steps, pyramid
+from .operators import SignSymbol, _by_level, _deviation, _running_peak, martingale_transform, positive_dyadic_operator
+from .signal import Mesh, StepFunction, _resolve, analyze, broadcast, haar_steps, pyramid
 from .weights import CarlesonSequence, carleson_intensity
 
 
@@ -327,11 +327,13 @@ def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float, failed: list):
     function or the sharp truncation of f 1_Q exceeds C0 <|f|>_Q / 2; skip Q
     when f vanishes on it.  A level's candidates are rows of one array pass.
 
-    Both are read off Q's rows of pyramids built once for f 1_I0.  Above
-    Q, the means of |f 1_Q| halve and its Haar partial sums stay below
-    |<f>_Q| (a geometric series), so neither raises the maximum.  On Q, each
-    Haar term of f 1_Q above Q is sigma_I <f>_Q |Q|/|I|: the sums inside Q
-    start from <f>_Q times Q's `_ancestor_sums` entry.
+    Both are read off Q's rows of trees built once for f 1_I0: the max of
+    its |f| means down each cell's ancestors, and the sharp truncation's
+    kernel `_running_peak` on its Haar steps.  Above Q, the means of |f 1_Q|
+    halve and its Haar partial sums stay below |<f>_Q| (a geometric series),
+    so neither raises the maximum.  On Q, each Haar term of f 1_Q above Q is
+    sigma_I <f>_Q |Q|/|I|: the sums inside Q start from <f>_Q times Q's
+    `_ancestor_sums` entry.
 
     A Q whose stopping set exceeds half of it is no member: `failed` holds
     [right end, level, pos] of the first in the walk's order (largest right
@@ -342,7 +344,7 @@ def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float, failed: list):
     abs_means, means = pyramid(absf, np.mean), pyramid(floc.values, np.mean)
     path = _ancestor_sums(sigma)
     signed = [np.multiply(c, sg, out=c) for c, sg in zip(analyze(floc).levels, sigma.levels)]  # one tree copy fewer
-    steps = list(haar_steps(HaarSpectrum(floc.mesh, 0.0, signed)))
+    steps = list(haar_steps(floc.mesh, signed))
 
     def rule(level, pos):
         def rows(a):
@@ -354,12 +356,9 @@ def _lacey_rule(floc: StepFunction, sigma: SignSymbol, c0: float, failed: list):
         if failed:
             live &= right > failed[0]
         pos, avg_abs = pos[live], avg_abs[live]
-        sums = (means[level][pos] * path[level][pos])[:, None]
-        peak = abs_means[level][pos][:, None]
-        for k in range(level, depth):  # the max over Q's subtree, pushed down a level at a time
-            sums = haar_refine(sums, rows(steps[k]))
-            below = np.abs(sums)
-            peak = broadcast([peak, np.maximum(below, rows(abs_means[k + 1]), out=below)], np.maximum)
+        start = (means[level][pos] * path[level][pos])[:, None]
+        peak = _running_peak(start, map(rows, steps[level:]))
+        peak = np.maximum(peak, broadcast(map(rows, abs_means[level:]), np.maximum), out=peak)
         stopping = peak > 0.5 * c0 * avg_abs[:, None]
         over = 2 * np.count_nonzero(stopping, axis=1) > stopping.shape[1]
         if over.any():

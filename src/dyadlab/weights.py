@@ -62,14 +62,14 @@ def log_symbol(mesh: Mesh) -> StepFunction:
 # -- tree helpers ----------------------------------------------------------
 
 
-def _tree_max_product(pyr_a, pyr_b, exponent_b=1.0):
-    """max over tree intervals of  a_I * b_I^exponent_b, with argmax position."""
+def _tree_max(levels):
+    """(max, (level, pos)) over per-level arrays given root first: the first
+    largest entry of the first level that attains it."""
     best, arg = -math.inf, (0, 0)
-    for level, (a, b) in enumerate(zip(pyr_a, pyr_b)):
-        prod = a * b ** exponent_b
-        pos = int(np.argmax(prod))
-        if prod[pos] > best:
-            best, arg = float(prod[pos]), (level, pos)
+    for level, a in enumerate(levels):
+        pos = int(np.argmax(a))
+        if a[pos] > best:
+            best, arg = float(a[pos]), (level, pos)
     return best, arg
 
 
@@ -82,8 +82,8 @@ def ap_characteristic_report(w: Weight, p: float) -> dict:
     with the (level, position) of the interval attaining it."""
     if p <= 1:
         raise ValueError("A_p characteristic needs p > 1")
-    best, arg = _tree_max_product(means_pyramid(w), means_pyramid(w.dual(p)), p - 1.0)
-    return {"value": float(best), "argmax_interval": arg}
+    best, arg = _tree_max(a * b ** (p - 1.0) for a, b in zip(means_pyramid(w), means_pyramid(w.dual(p))))
+    return {"value": best, "argmax_interval": arg}
 
 
 def a_infty_fujii_wilson(w: Weight) -> float:
@@ -117,7 +117,7 @@ def a_infty_classical(w: Weight) -> float:
     """
     pw = means_pyramid(w)
     pl = means_pyramid(StepFunction(w.mesh, np.log(w.values)))
-    return max(float(np.max(a * np.exp(-b))) for a, b in zip(pw, pl))
+    return _tree_max(a * np.exp(-b) for a, b in zip(pw, pl))[0]
 
 
 def rh_q(w: Weight, q: float) -> float:
@@ -125,30 +125,22 @@ def rh_q(w: Weight, q: float) -> float:
     if q <= 1:
         raise ValueError("RH_q needs q > 1")
     wq = StepFunction(w.mesh, w.values ** q)
-    best, _ = _tree_max_product(
-        [a ** (1.0 / q) for a in means_pyramid(wq)],
-        [1.0 / a for a in means_pyramid(w)],
-    )
-    return best
+    return _tree_max(a ** (1.0 / q) * (1.0 / b) for a, b in zip(means_pyramid(wq), means_pyramid(w)))[0]
 
 
 def bmo_dyadic_norm(b: StepFunction) -> float:
     """sup_I (<|b - <b>_I|^2>_I)^{1/2} over the mesh tree."""
     pyr = means_pyramid(b)
     pyr2 = means_pyramid(StepFunction(b.mesh, b.values ** 2))
-    best = 0.0
-    for m, m2 in zip(pyr, pyr2):
-        best = max(best, float(np.max(np.maximum(m2 - m ** 2, 0.0))))
-    return math.sqrt(best)
+    return math.sqrt(_tree_max(np.maximum(m2 - m ** 2, 0.0) for m, m2 in zip(pyr, pyr2))[0])
 
 
 def bmo_weighted_norm(b: StepFunction, mu: Weight) -> float:
     """Weighted oscillation norm sup_I (1/mu(I)) int_I |b - <b>_I|."""
     cl = b.mesh.cell_length
-    return max(
-        float(np.max(osc * cl / (mu.values.reshape(osc.size, -1).sum(axis=1) * cl)))
-        for osc in operators.oscillations(b)
-    )
+    return _tree_max(
+        osc * cl / (mu.values.reshape(osc.size, -1).sum(axis=1) * cl) for osc in operators.oscillations(b)
+    )[0]
 
 
 # -- Carleson sequences ----------------------------------------------------
@@ -185,11 +177,9 @@ def carleson_intensity(seq: CarlesonSequence, v: Weight | None = None) -> float:
     """sup_J sum_{I subset J} lambda_I / v(J); v omitted means Lebesgue measure."""
     mesh = seq.mesh
     sums = seq.subtree_sums()
-    if v is None:
-        masses = [np.full(1 << level, mesh.level_length(level)) for level in range(mesh.depth + 1)]
-    else:
-        masses = [m * mesh.level_length(level) for level, m in enumerate(means_pyramid(v))]
-    return max(float(np.max(s / m)) for s, m in zip(sums, masses))
+    lengths = [mesh.level_length(level) for level in range(mesh.depth + 1)]
+    masses = lengths if v is None else [m * length for m, length in zip(means_pyramid(v), lengths)]
+    return _tree_max(s / m for s, m in zip(sums, masses))[0]
 
 
 def _coefficient_sequence(mesh: Mesh, term) -> CarlesonSequence:
@@ -369,7 +359,7 @@ def ntv_conditions(u: Weight, v: Weight, norm_tol: float = 1e-8, norm_iters: int
     mesh = u.mesh
     u_inv = u.reciprocal()
     pu, pv = means_pyramid(u_inv), means_pyramid(v)
-    joint, _ = _tree_max_product(pu, pv)
+    joint, _ = _tree_max(a * b for a, b in zip(pu, pv))
     seq_ii = _coefficient_sequence(mesh, lambda l: mesh.level_length(l) * sibling_difference(pu, l) ** 2 * pv[l])
     seq_iii = _coefficient_sequence(mesh, lambda l: mesh.level_length(l) * sibling_difference(pv, l) ** 2 * pu[l])
     alpha_seq = ntv_alpha_sequence(u_inv, v)

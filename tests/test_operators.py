@@ -179,6 +179,29 @@ def test_sharp_truncation_dominates():
         assert np.all(np.abs(tf) <= 2.0 * sharp + 1e-12)
 
 
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_sharp_truncation_matches_the_haar_function_sums(depth):
+    # at each cell x, the sup over the tree intervals I' containing x of
+    # |sum_{I >= I'} sigma_I <f,h_I> h_I(x)|, term by term from haar_function
+    mesh = unit_mesh(depth)
+    rng = np.random.default_rng([depth, 26])
+    for _ in range(3):
+        f = StepFunction(mesh, rng.standard_normal(mesh.n_cells) * np.exp(2.0 * rng.standard_normal(mesh.n_cells)))
+        sigma = SignSymbol.random(mesh, rng)
+        terms = {}
+        for level in range(depth):
+            for pos in range(1 << level):
+                h = haar_function(mesh, (level, pos))
+                terms[level, pos] = sigma.levels[level][pos] * inner(f, h) * h.values
+        want = np.zeros(mesh.n_cells)
+        for x in range(mesh.n_cells):
+            total = 0.0
+            for level in range(depth):  # I' walks down x's ancestors, each adding its own term
+                total += terms[level, x >> (depth - level)][x]
+                want[x] = max(want[x], abs(total))
+        np.testing.assert_allclose(sharp_truncation(f, sigma).values, want, rtol=1e-11, atol=1e-12)
+
+
 def test_square_function_basics():
     mesh = unit_mesh(6)
     h = haar_function(mesh, (0, 0))

@@ -13,6 +13,7 @@ from dyadlab.operators import (
     LinearOperator,
     ShiftCoefficients,
     SignSymbol,
+    _running_peak,
     dense_matrix,
     haar_shift,
     maximal_dyadic,
@@ -27,6 +28,7 @@ from dyadlab.signal import (
     analyze,
     broadcast,
     haar_refine,
+    haar_steps,
     lp_norm,
     means_pyramid,
     partial_sums,
@@ -76,7 +78,8 @@ def test_broadcast_matches_combine_over_each_cells_ancestors(combine, depth):
 def test_partial_sums_telescope_to_the_means():
     mesh = sweep_mesh(7)
     f = StepFunction(mesh, np.random.default_rng(3).standard_normal(mesh.n_cells))
-    sums = list(partial_sums(analyze(f)))
+    s = analyze(f)
+    sums = list(partial_sums(np.array([s.mean]), haar_steps(mesh, s.levels)))
     means = means_pyramid(f)
     assert len(sums) == mesh.depth
     for level, partial in enumerate(sums):
@@ -173,8 +176,9 @@ def test_broadcast_matches_the_repeat_expansion(depth):
 
 @pytest.mark.parametrize("depth", [1, 2, 5, 9, 12])
 def test_batched_kernels_match_the_row_by_row_calls(depth):
-    # a (2, 3, N) batch: every row of pyramid, broadcast and haar_refine is
-    # bit for bit the 1-D call on that row; an empty batch keeps its shape
+    # a (2, 3, N) batch: every row of pyramid, broadcast, haar_refine,
+    # partial_sums and the sharp truncation's kernel is bit for bit the 1-D
+    # call on that row; an empty batch keeps its shape
     rng = np.random.default_rng(2000 + depth)
     batch = np.stack([wide_range_values(depth)] + [rng.standard_normal(1 << depth) for _ in range(5)]).reshape(2, 3, -1)
     rows = list(np.ndindex(batch.shape[:-1]))
@@ -189,12 +193,23 @@ def test_batched_kernels_match_the_row_by_row_calls(depth):
     for combine in (np.add, np.maximum):
         for finest in {0, 1, depth // 2, depth}:
             got = broadcast(levels[: finest + 1], combine)
+            assert_bits_equal(got, broadcast(iter(levels[: finest + 1]), combine))  # a generator, folded as it comes
             for row in rows:
                 assert_bits_equal(got[row], broadcast([a[row] for a in levels[: finest + 1]], combine))
     for cur, step in zip(levels[:-1], (rng.standard_normal(a.shape) for a in levels[:-1])):
         got = haar_refine(cur, step)
         for row in rows:
             assert_bits_equal(got[row], haar_refine(cur[row], step[row]))
+    # Haar steps of the batch's own sibling differences carry its signed zeros
+    steps = list(haar_steps(sweep_mesh(depth), [a[..., 1::2] - a[..., 0::2] for a in levels[1:]]))
+    for start in (levels[0], np.zeros_like(levels[0])):
+        got = list(partial_sums(start, steps))
+        peak = _running_peak(start, steps)
+        for row in rows:
+            row_steps = [a[row] for a in steps]
+            for a, b in zip(got, partial_sums(start[row], row_steps), strict=True):
+                assert_bits_equal(a[row], b)
+            assert_bits_equal(peak[row], _running_peak(start[row], row_steps))
     empty = pyramid(np.zeros((0, 1 << depth)), np.mean)
     assert [a.shape for a in empty] == [(0, 1 << l) for l in range(depth + 1)]
     assert broadcast(empty, np.add).shape == (0, 1 << depth)
@@ -207,7 +222,8 @@ def test_analyze_and_synthesize_match_the_reshape_transform(depth):
     assert np.signbit(got.mean) == np.signbit(want.mean) and got.mean == want.mean
     for a, b in zip(got.levels, want.levels, strict=True):
         assert_bits_equal(a, b)
-    for a, b in zip(partial_sums(want), reference_partial_sums(want), strict=True):
+    got = partial_sums(np.array([want.mean]), haar_steps(want.mesh, want.levels))
+    for a, b in zip(got, reference_partial_sums(want), strict=True):
         assert_bits_equal(a, b)
     assert_bits_equal(synthesize(want).values, b)
 

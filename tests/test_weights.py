@@ -13,7 +13,7 @@ from dyadlab import weights
 from dyadlab.errors import DegenerateWeightError
 from dyadlab.experiments import sweep_mesh
 from dyadlab.grid import standard_grid
-from dyadlab.signal import Mesh, StepFunction, analyze, haar_function, means_pyramid
+from dyadlab.signal import Mesh, StepFunction, analyze, average, haar_function, means_pyramid
 from dyadlab.weights import (
     CarlesonSequence,
     Weight,
@@ -21,10 +21,12 @@ from dyadlab.weights import (
     alpha_sequence,
     ap_characteristic,
     ap_characteristic_report,
+    a_infty_classical,
     bellman_B,
     bellman_verify,
     in_bellman_domain,
     bmo_dyadic_norm,
+    bmo_weighted_norm,
     carleson_intensity,
     fkp_sequence,
     little_lemma_map,
@@ -257,6 +259,64 @@ def test_carleson_intensity_trivial_and_oracle():
             assert carleson_intensity(seq, v) == intensity_oracle(seq, v)
 
 
+def loop_sup(mesh, term):
+    """(sup, argmax) of term(level, pos) by a loop over every tree interval,
+    root first and left to right in a level; the first largest value wins."""
+    best, arg = -math.inf, None
+    for level in range(mesh.depth + 1):
+        for pos in range(1 << level):
+            t = term(level, pos)
+            if t > best:
+                best, arg = t, (level, pos)
+    return best, arg
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_tree_maxima_match_the_loop_over_every_interval(depth):
+    # powers of two: every average, product and difference below is exact, so
+    # values must agree bit for bit and ties go to the first interval; the
+    # constant weight ties everywhere, at the root first
+    mesh = unit_mesh(depth)
+    rng = np.random.default_rng([depth, 26])
+    exact = [Weight(mesh, np.full(mesh.n_cells, 2.0)), Weight(mesh, 2.0 ** rng.integers(-2, 3, mesh.n_cells))]
+    for w in exact:
+        w_inv = w.reciprocal()
+        want = loop_sup(mesh, lambda l, p: average(w, (l, p)) * average(w_inv, (l, p)))
+        got = ap_characteristic_report(w, 2.0)
+        assert (got["value"], got["argmax_interval"]) == want
+        b = StepFunction(mesh, w.values * 16.0 - 32.0)  # integers, of both signs
+        b2 = b * b
+        want = loop_sup(mesh, lambda l, p: max(average(b2, (l, p)) - average(b, (l, p)) ** 2, 0.0))
+        assert bmo_dyadic_norm(b) == math.sqrt(want[0])
+    seq = CarlesonSequence(mesh, [rng.integers(0, 32, 1 << l) / 8.0 for l in range(depth + 1)])
+
+    def subtree(l, p):
+        return sum(float(np.sum(seq.levels[k][p << (k - l) : (p + 1) << (k - l)])) for k in range(l, depth + 1))
+
+    v = exact[1]
+    assert carleson_intensity(seq) == loop_sup(mesh, lambda l, p: subtree(l, p) / mesh.level_length(l))[0]
+    want = loop_sup(mesh, lambda l, p: subtree(l, p) / (average(v, (l, p)) * mesh.level_length(l)))
+    assert carleson_intensity(seq, v) == want[0]
+    # continuous values: the loop's averages round apart from the pyramid's
+    w, b = random_weight(mesh, rng), StepFunction(mesh, rng.standard_normal(mesh.n_cells))
+    w_dual, log_w, w_sq = w.dual(3.0), StepFunction(mesh, np.log(w.values)), w * w
+    want = loop_sup(mesh, lambda l, p: average(w, (l, p)) * average(w_dual, (l, p)) ** 2.0)
+    got = ap_characteristic_report(w, 3.0)
+    assert got["value"] == pytest.approx(want[0], rel=1e-12) and got["argmax_interval"] == want[1]
+    want = loop_sup(mesh, lambda l, p: average(w, (l, p)) * math.exp(-average(log_w, (l, p))))
+    assert a_infty_classical(w) == pytest.approx(want[0], rel=1e-12)
+    want = loop_sup(mesh, lambda l, p: math.sqrt(average(w_sq, (l, p))) / average(w, (l, p)))
+    assert rh_q(w, 2.0) == pytest.approx(want[0], rel=1e-12)
+
+    def weighted_oscillation(l, p):
+        sl = mesh.cell_slice(l, p)
+        return float(np.mean(np.abs(b.values[sl] - average(b, (l, p))))) / average(w, (l, p))
+
+    assert bmo_weighted_norm(b, w) == pytest.approx(loop_sup(mesh, weighted_oscillation)[0], rel=1e-12)
+    want = loop_sup(mesh, lambda l, p: max(average(b * b, (l, p)) - average(b, (l, p)) ** 2, 0.0))
+    assert bmo_dyadic_norm(b) == pytest.approx(math.sqrt(want[0]), rel=1e-10)
+
+
 def test_fkp_alpha_sequences_vanish_for_constant():
     mesh = unit_mesh(5)
     w = Weight(mesh, np.full(mesh.n_cells, 2.5))
@@ -297,8 +357,6 @@ def test_fkp_log_bound_with_sharp_constant():
     # the sharp constant 8 is calibrated against the classical exponential
     # A_infty characteristic; the smaller Fujii-Wilson one admits random
     # weights with ratios slightly above 8, but power weights stay under it
-    from dyadlab.weights import a_infty_classical
-
     g = standard_grid(-2, 16)
     mesh = Mesh(g.interval(0, 0), 8)
     for a in [0.2, 0.5, 0.9, 0.99]:
