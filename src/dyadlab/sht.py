@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from array import array
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +42,7 @@ class QuasiMetricCloud:
         n = self.dist.shape[0]
         if self.dist.shape != (n, n):
             raise ValueError("distance matrix must be square")
-        if self.mass is None:
-            self.mass = np.ones(n)
-        self.mass = np.asarray(self.mass, dtype=float)
+        self.mass = np.ones(n) if self.mass is None else np.asarray(self.mass, dtype=float)
         d = self.dist  # its checks make no n x n temporary: a NaN or an infinity shows in the min or the max
         if n == 0 or not (math.isfinite(low := d.min()) and math.isfinite(d.max()) and np.all(np.isfinite(self.mass))):
             raise ValueError("a cloud needs at least one point, finite distances and finite masses")
@@ -65,16 +63,21 @@ class QuasiMetricCloud:
     def validate(self) -> dict:
         """Exhaustive checks of the quasi-metric axioms, as one min-plus pass.
 
-        The quasi-triangle constant is the largest d_ij / (d_iz + d_zj) over
-        i != j and every z, which is d_ij over the min-plus square
-        min_z (d_iz + d_zj): correctly rounded division is monotone in the
-        divisor, so the two agree bit for bit."""
-        d = self.dist
-        through, step = np.full_like(d, np.inf), np.empty_like(d)
-        for z in range(self.n):
-            np.minimum(through, np.add(d[:, z, None], d[z], out=step), out=through)
-        np.fill_diagonal(through, np.inf)  # d_ii = 0 over inf: the diagonal does not count
-        worst = max(1.0, float(np.max(np.divide(d, through, out=step))))
+        The quasi-triangle constant is the largest d_ij / (d_iz + d_zj) over i != j
+        and every z, which is d_ij over the min-plus square min_z (d_iz + d_zj):
+        correctly rounded division is monotone in the divisor, so the two agree bit
+        for bit.  d and so the square are exactly symmetric: blocks of rows lo..
+        that fit BLOCK_ELEMENTS read j >= lo only."""
+        d, n, worst = self.dist, self.n, 1.0
+        buf = np.empty((2, (rows := max(1, BLOCK_ELEMENTS // n)) * n))  # one allocation: blocks of shrinking sizes fragment the heap
+        for lo in range(0, n, rows):
+            right = d[lo:lo + rows, lo:]
+            through, step = (b[:right.size].reshape(right.shape) for b in buf)
+            through.fill(np.inf)
+            for z in range(n):
+                np.minimum(through, np.add(d[lo:lo + rows, z, None], d[z, lo:], out=step), out=through)
+            np.fill_diagonal(through, np.inf)  # d_ii = 0 over inf: the diagonal does not count
+            worst = max(worst, float(np.max(np.divide(right, through, out=step))))
         return {"quasi_triangle_constant": worst, "A0_ok": worst <= self.A0 * (1 + 1e-12)}
 
     @classmethod
@@ -86,27 +89,35 @@ class QuasiMetricCloud:
     def from_csv(cls, path) -> "QuasiMetricCloud":
         """Load `id,x,y[,mass]` rows (Euclidean) or `id_i,id_j,distance` edges."""
         with open(path) as fh:
-            reader = csv.reader(fh)
-            header = [h.strip().lower() for h in next(reader, [])]
+            header = [h.strip().lower() for h in next(csv.reader(fh), [])]
             if header[:3] not in (["id", "x", "y"], ["id_i", "id_j", "distance"]):
                 raise ValueError("unrecognized cloud CSV header")
             if header[0] == "id_i":
-                cloud = cls(_edge_distances(reader), None, A0=1.0)
+                cloud = cls(_edge_distances(_read_rows(fh, ("i", "j", "d"), 2)), None, A0=1.0)
                 cloud.A0 = cloud.validate()["quasi_triangle_constant"]
                 return cloud
-            body = list(reader)
-        width = min(len(header), 4)
-        if not body or any(len(r) < width for r in body):
-            raise ValueError(f"a cloud CSV needs data rows of {width} fields under its header")
-        _check_cloud_size(len(body))
-        order = np.argsort([int(r[0]) for r in body])
-        xy = np.array([[float(body[i][1]), float(body[i][2])] for i in order])
-        mass = (
-            np.array([float(body[i][3]) for i in order])
-            if len(header) > 3
-            else None
-        )
+            rows = _read_rows(fh, ("id", "x", "y", "mass")[:len(header)], 1)
+        _check_cloud_size(rows.size)
+        rows = rows[np.argsort(rows["id"])]
+        xy, mass = np.column_stack([rows["x"], rows["y"]]), rows["mass"].copy() if len(header) > 3 else None
+        del rows  # freed first: alive, it could split the free block that the n x n distances fit in
         return cls.from_points(xy, mass)
+
+
+def _read_rows(fh, names, ints: int) -> np.ndarray:
+    """The data rows under a cloud CSV's header by one C-level `np.loadtxt`: fields `names`, the first
+    `ints` int64 ids and the rest doubles, quoted or space-padded; extra columns and blank lines skipped."""
+    dtype = np.dtype([(name, np.int64 if k < ints else float) for k, name in enumerate(names)])
+    need = f"a cloud CSV needs data rows of {len(names)} fields under its header"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data": rejected below
+            rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", usecols=range(len(names)), quotechar='"', ndmin=1)
+    except ValueError as exc:  # a short row, or a field that is no int64 id or no double
+        raise ValueError(f"{need}: {exc}") from exc
+    if not rows.size:
+        raise ValueError(need)
+    return rows
 
 
 def _symmetric(d: np.ndarray) -> bool:
@@ -122,48 +133,37 @@ def _symmetric(d: np.ndarray) -> bool:
 
 def _euclidean_distances(xy: np.ndarray) -> np.ndarray:
     """The distance matrix of the rows of xy, built BLOCK_ELEMENTS at a time:
-    each block adds its squared coordinate differences to zeros in coordinate
-    order, the float operations of `sum` over the coordinates."""
+    each block takes the first coordinate's squared differences and adds the
+    others' in order, the float operations of `sum` over the coordinates."""
     n = xy.shape[0]
-    dist = np.zeros((n, n))
+    dist = np.empty((n, n))
     rows = max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
     work = np.empty((rows, n))  # one block of squared differences, reused
+    first, *rest = xy.T
     for i in range(0, n, rows):
         block, step = dist[i : i + rows], work[: n - i]
-        for x in xy.T:
+        np.square(np.subtract(first[i : i + rows, None], first, out=block), out=block)
+        for x in rest:
             block += np.square(np.subtract(x[i : i + rows, None], x, out=step), out=step)
     return np.sqrt(dist, out=dist)
 
 
-def _edge_distances(reader) -> np.ndarray:
-    """The distance matrix of `id_i,id_j,distance` rows, points in increasing
-    id order.  The rows are read into packed arrays, not one Python list a
-    row: per row the places of its two ids in order of first appearance, and
-    its distance."""
-    index, ends, given = {}, array("q"), array("d")
-    for r in reader:
-        if len(r) < 3:
-            given = None  # a short row
-            break
-        ends.append(index.setdefault(int(r[0]), len(index)))
-        ends.append(index.setdefault(int(r[1]), len(index)))
-        given.append(float(r[2]))
-    if not given:
-        raise ValueError("a cloud CSV needs data rows of 3 fields under its header")
-    ids, n = list(index), len(index)
-    _check_cloud_size(n)
-    ends, given = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), np.frombuffer(given)
-    rank = np.empty(n, dtype=int)  # first-appearance place -> place among the sorted ids
-    rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
-    i, j = np.sort(rank[ends], axis=1).T
-    dist = np.zeros((n, n))  # a pair left out stays at 0, which the constructor rejects
-    dist[i, j] = given
-    kept = dist[i, j]  # the last distance given for each pair
-    clash = np.flatnonzero((kept != given) & ~(np.isnan(kept) & np.isnan(given)))
+def _edge_distances(rows: np.ndarray) -> np.ndarray:
+    """The distance matrix of the `(i, j, d)` edge rows, points in increasing
+    id order, each pair written at its (smaller, larger) ranks."""
+    ids = np.unique(ends := np.column_stack([rows["i"], rows["j"]]))
+    _check_cloud_size(ids.size)
+    ends = np.searchsorted(ids, ends)  # each id's rank
+    ends.sort(axis=1)
+    low, high = ends.T
+    dist = np.zeros((ids.size, ids.size))  # a pair left out stays at 0, which the constructor rejects
+    dist[low, high] = given = rows["d"]
+    kept = dist[low, high]  # the last distance given for each pair
+    clash = np.flatnonzero(kept != given)  # in two steps: one mask over the rows, not four
+    clash = clash[~(np.isnan(kept[clash]) & np.isnan(given[clash]))]  # NaN both times is no clash
     if clash.size:
-        a, b = (ids[k] for k in ends[clash[0]])
-        raise ValueError(f"cloud CSV gives the pair {a},{b} two different distances")
-    dist[j, i] = given
+        raise ValueError("cloud CSV gives the pair {},{} two different distances".format(*rows[["i", "j"]][clash[0]]))
+    dist[high, low] = given
     return dist
 
 

@@ -281,6 +281,17 @@ def test_bad_cloud_file_is_a_config_error(tmp_path, capsys, text):
     assert_config_error(capsys, ["sht", "--cloud", str(cloud)])
 
 
+@pytest.mark.parametrize("header", ["id,x,y,mass", "id_i,id_j,distance"])
+def test_header_only_cloud_prints_one_json_line(tmp_path, header):
+    # numpy's reader warns "input contained no data" on stderr unless the empty read is caught
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(header + "\n")
+    proc = subprocess.run([sys.executable, "-m", "dyadlab.cli", "sht", "--cloud", str(cloud)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
+    assert "data rows" in strict_loads(proc.stderr)["message"]
+
+
 @pytest.mark.parametrize("mass", [1e-200, 1e150])
 def test_cloud_masses_far_from_one_run(tmp_path, capsys, mass):
     # at 1e-200 a product of two cube masses underflows: exit 3 on a division by zero once

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +196,34 @@ def test_min_plus_quasi_triangle_constant_matches_the_per_z_loop(seed):
         np.fill_diagonal(dist, 0.0)
     cloud = QuasiMetricCloud(dist, np.ones(n), A0=1.0)
     assert cloud.validate()["quasi_triangle_constant"] == per_z_quasi_triangle_constant(cloud.dist)
+
+
+def scan_clouds(n, seed):
+    """A power of a planar metric, a symmetric matrix far from any metric,
+    and a planar cloud with its last pair (n-2, n-1) stretched, the one
+    worst pair, which lies in the last rows."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 2))
+    planar = np.hypot(*(x[:, None, :] - x[None, :, :]).T)
+    wild = rng.exponential(size=(n, n)) ** 3
+    wild += wild.T
+    np.fill_diagonal(wild, 0.0)
+    stretched = planar.copy()
+    if n > 1:
+        stretched[n - 2, n - 1] = stretched[n - 1, n - 2] = 3 * planar.max()
+    return {"power": planar ** rng.uniform(1.0, 3.0), "wild": wild, "stretched": stretched}
+
+
+@pytest.mark.parametrize("rows", ["one", "uneven", "all"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 47, 64, 100])
+def test_blocked_quasi_triangle_scan_matches_the_per_z_loop(monkeypatch, n, rows):
+    # blocks of one row, of r rows with n % r >= 2 where n allows it (the last block is short
+    # and holds the stretched pair), and of the whole cloud
+    r = {"one": 1, "uneven": next((r for r in range(3, n) if n % r >= 2), 2), "all": n}[rows]
+    monkeypatch.setattr(sht, "BLOCK_ELEMENTS", r * n)
+    for name, dist in scan_clouds(n, 1000 + n).items():
+        cloud = QuasiMetricCloud(dist, np.ones(n), A0=1.0)
+        assert cloud.validate()["quasi_triangle_constant"] == per_z_quasi_triangle_constant(dist), name
 
 
 @pytest.mark.parametrize("kind", ["points", "edges"])
@@ -696,6 +726,201 @@ def test_edge_list_in_any_row_order_and_orientation_gives_the_distance_matrix(tm
         fh.write(f"{ids[j]},{ids[i]},{float(want[rank[i], rank[j]]) * 2!r}\n")
     with pytest.raises(ValueError, match="two different distances"):
         QuasiMetricCloud.from_csv(str(path))
+
+
+def row_loop_cloud(path):
+    """The row-by-row reader that `QuasiMetricCloud.from_csv` replaced, kept as
+    its oracle: Python's csv module, `int` and `float` per field, and the
+    distances of a points cloud summed over the coordinates from zero."""
+    with open(path) as fh:
+        reader = csv.reader(fh)
+        header = [h.strip().lower() for h in next(reader, [])]
+        if header[:3] not in (["id", "x", "y"], ["id_i", "id_j", "distance"]):
+            raise ValueError("unrecognized cloud CSV header")
+        if header[0] == "id_i":
+            return QuasiMetricCloud(row_loop_edge_distances(reader), None)
+        body = list(reader)
+    width = min(len(header), 4)
+    if not body or any(len(r) < width for r in body):
+        raise ValueError(f"a cloud CSV needs data rows of {width} fields under its header")
+    sht._check_cloud_size(len(body))
+    order = np.argsort([int(r[0]) for r in body])
+    xy = np.array([[float(body[i][1]), float(body[i][2])] for i in order])
+    mass = np.array([float(body[i][3]) for i in order]) if len(header) > 3 else np.ones(len(body))
+    return QuasiMetricCloud(np.sqrt(sum((x[:, None] - x[None, :]) ** 2 for x in xy.T)), mass)
+
+
+def row_loop_edge_distances(reader):
+    """Per row the places of its two ids in order of first appearance and
+    its distance, in packed arrays; the pair checks as array operations."""
+    index, ends, given = {}, array("q"), array("d")
+    for r in reader:
+        if len(r) < 3:
+            given = None  # a short row
+            break
+        ends.append(index.setdefault(int(r[0]), len(index)))
+        ends.append(index.setdefault(int(r[1]), len(index)))
+        given.append(float(r[2]))
+    if not given:
+        raise ValueError("a cloud CSV needs data rows of 3 fields under its header")
+    ids, n = list(index), len(index)
+    sht._check_cloud_size(n)
+    ends, given = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), np.frombuffer(given)
+    rank = np.empty(n, dtype=int)  # first-appearance place -> place among the sorted ids
+    rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    i, j = np.sort(rank[ends], axis=1).T
+    dist = np.zeros((n, n))
+    dist[i, j] = given
+    kept = dist[i, j]
+    clash = np.flatnonzero((kept != given) & ~(np.isnan(kept) & np.isnan(given)))
+    if clash.size:
+        a, b = (ids[k] for k in ends[clash[0]])
+        raise ValueError(f"cloud CSV gives the pair {a},{b} two different distances")
+    dist[j, i] = given
+    return dist
+
+
+def read_outcome(read, path):
+    """(distance bytes, mass bytes) of the cloud read, or (error type, message)."""
+    try:
+        cloud = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return cloud.dist.tobytes(), cloud.mass.tobytes()
+
+
+EDGES = "id_i,id_j,distance\n"
+BIG_IDS = [-10 ** 12, -3, 10 ** 12 - 1, 10 ** 12 + 7]
+READER_LAYOUTS = {
+    "points": "id,x,y\n0,0.1,0.2\n1,0.7,0.4\n2,0.3,0.9\n",
+    "points-mass": "id,x,y,mass\n2,0.3,0.9,0.5\n0,0.1,0.2,2.0\n1,0.7,0.4,1e-3\n",
+    "points-spaces": " ID , X , Y , Mass \n 0 , 0.1 , 0.2 , 2.0 \n1,  0.7,0.4  ,  1.5\n",
+    "points-quoted": '"id","x","y"\n"0","0.1","0.2"\n"1",0.7,"0.4"\n',
+    "points-extra-columns": "id,x,y,mass,label\n0,0.1,0.2,2.0,7\n1,0.7,0.4,1.5,8,9\n",
+    "points-extra-fields": "id,x,y\n0,0.1,0.2,5\n1,0.7,0.4,x,y\n",
+    "points-crlf": "id,x,y,mass\r\n0,0.1,0.2,3\r\n1,0.7,0.4,4\r\n",
+    "points-ids-negative-and-large": "id,x,y\n" + "".join(
+        f"{k},0.{k % 7 + 1},0.{k % 5 + 2}\n" for k in BIG_IDS[::-1]),
+    "points-duplicate-ids": "id,x,y\n1,0.1,0.2\n0,0.7,0.4\n1,0.3,0.9\n0,0.5,0.5\n",
+    "points-float-spellings": "id,x,y,mass\n0,1e-3,.5,5.\n1,+0.25,-0.0,1E2\n"
+                              "2,0.1000000000000000055511151231257827,4.9e-324,2.5e-3\n"
+                              "3,-1.5e-7,0.30000000000000004,7\n",
+    "points-equal": "id,x,y\n0,0.5,0.5\n1,0.25,0.75\n2,0.5,0.5\n",
+    "points-nan": "id,x,y\n0,nan,0.5\n1,0.25,0.75\n",
+    "points-infinite": "id,x,y\n0,-Infinity,0.5\n1,0.25,inf\n",
+    "points-huge": "id,x,y\n0,1e400,0.5\n1,0.25,0.75\n",
+    "points-subnormal-mass": "id,x,y,mass\n0,0,0,1e-320\n1,0.3,0,1e-320\n",
+    "points-zero-mass": "id,x,y,mass\n0,0,0,0\n1,0.3,0,1\n",
+    "points-header-only": "id,x,y\n",
+    "points-header-only-crlf": "id,x,y,mass\r\n",
+    "points-short-row": "id,x,y\n0,0.1,0.2\n1,0.7\n",
+    "points-non-integer-id": "id,x,y\n0,0.1,0.2\n1.5,0.7,0.4\n",
+    "points-blank-lines": "id,x,y\n\n0,0.1,0.2\n\n1,0.7,0.4\n\n",
+    "points-underscore-digits": "id,x,y\n0,0.1,0.2\n1,0.7,0_4\n",
+    "points-id-beyond-int64": "id,x,y\n0,0.1,0.2\n9223372036854775808,0.7,0.4\n",
+    "empty": "",
+    "unknown-header": "a,b,c\n0,1,2\n",
+    "edges": EDGES + "0,1,1.0\n0,2,3.0\n1,2,1.0\n",
+    "edges-spaces": " Id_I , ID_J , distance \n 0 , 1 , 1.0 \n0,  2,3.0  \n  1,2,1.0\n",
+    "edges-quoted": '"id_i","id_j","distance"\n"0","1","1.0"\n0,"2",3.0\n"1",2,"1.0"\n',
+    "edges-extra-columns": "id_i,id_j,distance,weight\n0,1,1.0,9\n0,2,3.0,9,9\n1,2,1.0,x\n",
+    "edges-crlf": EDGES.replace("\n", "\r\n") + "0,1,1.0\r\n0,2,3.0\r\n1,2,1.0\r\n",
+    "edges-reversed-and-repeated": EDGES + "1,0,1.0\n0,2,3.0\n2,1,1.0\n0,1,1.0\n2,0,3.0\n",
+    "edges-ids-negative-and-large": EDGES + "".join(
+        f"{a},{b},{1 + (k * 7 % 5) / 8}\n" for k, (a, b) in enumerate(
+            (BIG_IDS[p], BIG_IDS[q]) for p in range(4) for q in range(4) if p > q)),
+    "edges-float-spellings": EDGES + "0,1,1e0\n0,2,.75\n0,3,2.\n1,2,+1.25\n1,3,1.0000000000000000000000001\n"
+                                     "2,3,1.2345678901234567890123456\n",
+    "edges-subnormal": EDGES + "0,1,4.9e-324\n1,2,4.9e-324\n0,2,9.9e-324\n",
+    "edges-clash": EDGES + "0,1,1.0\n0,2,3.0\n2,1,1.0\n2,0,2.5\n1,2,1.0\n",
+    "edges-clash-ids-reversed": EDGES + "-5,7,1.0\n1000000000003,-5,2.0\n7,1000000000003,1.5\n-5,1000000000003,2.5\n",
+    "edges-nan-twice": EDGES + "0,1,nan\n1,0,nan\n0,2,1\n1,2,1\n",
+    "edges-nan-then-number": EDGES + "0,1,nan\n1,0,1.0\n0,2,1\n1,2,1\n",
+    "edges-missing-pair": EDGES + "0,1,1.0\n1,2,1.0\n",
+    "edges-self-edge": EDGES + "0,1,1.0\n1,2,1.0\n0,2,2.0\n0,0,1.0\n",
+    "edges-negative": EDGES + "0,1,1.0\n1,2,-1.0\n0,2,2.0\n",
+    "edges-infinite": EDGES + "0,1,1.0\n1,2,1e400\n0,2,2.0\n",
+    "edges-header-only": EDGES,
+    "edges-short-row": EDGES + "0,1,1.0\n1,2\n",
+    "edges-non-integer-id": EDGES + "0,1,1.0\n1.5,2,1.0\n",
+    "edges-blank-lines": EDGES + "\n0,1,1.0\n\n0,2,3.0\n1,2,1.0\n\n",
+    "edges-underscore-digits": EDGES + "0,1,1.0\n0,2,1_0\n1,2,1.0\n",
+    "edges-id-beyond-int64": EDGES + "0,1,1.0\n0,9223372036854775808,3.0\n1,9223372036854775808,1.0\n",
+}
+LOADS = None
+NEED3 = "a cloud CSV needs data rows of 3 fields under its header"
+READER_CHANGES = {  # layout: the row loops' outcome and the array reader's, LOADS or a ValueError message's start
+    "points-short-row": (NEED3, NEED3 + ": invalid column index 2"),
+    "points-non-integer-id": ("invalid literal for int()", NEED3 + ": could not convert string '1.5' to int64"),
+    "points-blank-lines": (NEED3, LOADS),
+    "points-underscore-digits": (LOADS, NEED3 + ": could not convert string '0_4' to float64"),
+    "points-id-beyond-int64": (LOADS, NEED3 + ": could not convert string '9223372036854775808' to int64"),
+    "edges-short-row": (NEED3, NEED3 + ": invalid column index 2"),
+    "edges-non-integer-id": ("invalid literal for int()", NEED3 + ": could not convert string '1.5' to int64"),
+    "edges-blank-lines": (NEED3, LOADS),
+    "edges-underscore-digits": (LOADS, NEED3 + ": could not convert string '1_0' to float64"),
+    "edges-id-beyond-int64": (LOADS, NEED3 + ": could not convert string '9223372036854775808' to int64"),
+}
+
+
+@pytest.mark.parametrize("name", READER_LAYOUTS)
+def test_array_reader_matches_the_row_loops(tmp_path, name):
+    # the same distances and masses bit for bit, or the same error and message, except the
+    # documented changes: blank lines skipped, and ids outside int64 or digits with `_` rejected
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(READER_LAYOUTS[name].encode())  # CRLF kept as written
+    new, old = read_outcome(QuasiMetricCloud.from_csv, path), read_outcome(row_loop_cloud, path)
+    if name not in READER_CHANGES:
+        assert new == old
+        return
+    for got, want in zip((old, new), READER_CHANGES[name]):
+        assert isinstance(got[0], bytes) if want is LOADS else got[0] is ValueError and got[1].startswith(want)
+    if READER_CHANGES[name][1] is LOADS:  # the rows without their blank lines
+        path.write_text("".join(line for line in READER_LAYOUTS[name].splitlines(True) if line.strip()))
+        assert new == read_outcome(row_loop_cloud, path)
+
+
+DOUBLE_FORMS = ("{!r}", "{:.17g}", "{:.25g}", "{:.25e}", "{:.24f}")
+
+
+def double_strings(rng, size, low, high):
+    """Random doubles of random sign and exponent in [low, high) in the
+    DOUBLE_FORMS: shortest reprs, 17- and 25-digit forms and fixed point
+    (of values over 1e-5, so that none reads as zero)."""
+    form = rng.integers(0, len(DOUBLE_FORMS), size)
+    values = rng.choice([-1.0, 1.0], size) * rng.random(size) * 10.0 ** rng.integers(np.where(form < 4, low, -5), high)
+    return [DOUBLE_FORMS[k].format(float(v)) for k, v in zip(form, values)]
+
+
+def test_array_reader_parses_every_double_as_python_float_does(tmp_path):
+    # subnormals, the largest exponents, overflow to inf, underflow to zero, nan and inf spellings
+    special = ["nan", "-nan", "nAn", "inf", "-inf", "+Infinity", "-Infinity", "1e400", "-1e400", "4.9e-324",
+               "2.4e-324", "1e-400", "-0.0", "0", "2.2250738585072014e-308", "1.7976931348623157e308"]
+    text = special + double_strings(np.random.default_rng(27), 20000, -325, 309)
+    path = tmp_path / "values.csv"
+    path.write_text("".join(f"{k},{-k},{t}\n" for k, t in enumerate(text)))
+    with open(path) as fh:
+        rows = sht._read_rows(fh, ("i", "j", "d"), 2)
+    assert rows["d"].tobytes() == np.array([float(t) for t in text]).tobytes()
+    assert np.array_equal(rows["j"], -np.arange(len(text)))
+
+
+@pytest.mark.parametrize("kind", ["points", "edges"])
+def test_array_reader_matches_the_row_loops_on_random_clouds(tmp_path, kind):
+    # exponents within 1e+-100, so that no squared difference and no ratio of the scan leaves the doubles
+    rng, n = np.random.default_rng(28), 60
+    path = tmp_path / "cloud.csv"
+    if kind == "points":
+        coords, mass = double_strings(rng, 2 * n, -100, 100), [s.lstrip("-") for s in double_strings(rng, n, -100, 100)]
+        path.write_text("id,x,y,mass\n" + "".join(f"{k},{coords[2 * k]},{coords[2 * k + 1]},{mass[k]}\n"
+                                                  for k in rng.permutation(n)))
+    else:
+        a, b = np.triu_indices(n, k=1)
+        swap = rng.random(a.size) < 0.5
+        text = [s.lstrip("-") for s in double_strings(rng, a.size, -100, 100)]
+        path.write_text(EDGES + "".join(f"{p},{q},{t}\n" for p, q, t in zip(np.where(swap, b, a), np.where(swap, a, b), text)))
+    new = read_outcome(QuasiMetricCloud.from_csv, path)
+    assert isinstance(new[0], bytes) and new == read_outcome(row_loop_cloud, path)
 
 
 def test_cloud_csv_points(tmp_path):
