@@ -120,24 +120,6 @@ def square_function(f: StepFunction) -> StepFunction:
     return StepFunction(mesh, np.sqrt(broadcast([*levels, np.zeros(mesh.n_cells)], np.add)))
 
 
-def square_coefficient_norm(f: StepFunction, w: StepFunction) -> float:
-    """The identity ||S f||_{L2(w)}^2 = sum_I |<f,h_I>|^2 <w>_I, coefficient side."""
-    s = analyze(f)
-    pw = means_pyramid(w)
-    return math.sqrt(
-        sum(float(np.dot(c ** 2, m)) for c, m in zip(s.levels, pw))
-    )
-
-
-def petermichl_shift(f: StepFunction) -> StepFunction:
-    """Sha f = sum <f,h_I> 2^{-1/2}(h_{I_r} - h_{I_l}).
-
-    The deepest input level has children below the mesh resolution and is
-    annihilated by the window truncation.
-    """
-    return haar_shift(f, ShiftCoefficients.petermichl(f.mesh))
-
-
 @dataclass
 class ShiftCoefficients:
     """Coefficients c^L_{I,J} of a Haar shift of complexity (m, n).
@@ -200,47 +182,6 @@ class ShiftCoefficients:
 
 def haar_shift(f: StepFunction, coeffs: ShiftCoefficients) -> StepFunction:
     return StepFunction(f.mesh, LinearOperator(f.mesh, "haar", coeffs, "haar").apply(f.values))
-
-
-# -- paraproducts and commutators --------------------------------------------
-
-
-def paraproduct(b: StepFunction, f: StepFunction) -> StepFunction:
-    """pi_b f = sum <f>_I <b,h_I> h_I."""
-    return StepFunction(f.mesh, LinearOperator(f.mesh, "means", analyze(b).levels, "haar").apply(f.values))
-
-
-def paraproduct_adjoint(b: StepFunction, f: StepFunction) -> StepFunction:
-    """pi*_b f = sum <b,h_I> <f,h_I> 1_I / |I|."""
-    return StepFunction(f.mesh, LinearOperator(f.mesh, "haar", analyze(b).levels, "means").apply(f.values))
-
-
-def product_decomposition(b: StepFunction, f: StepFunction):
-    """(pi_b f, pi*_b f, pi_f b, correction) with
-    b*f = pi_b f + pi*_b f + pi_f b + correction  cell-wise, where the
-    correction is the rank-one mean term <b>_root <f>_root 1_root forced by
-    the truncation."""
-    pb = paraproduct(b, f)
-    pstar = paraproduct_adjoint(b, f)
-    pf = paraproduct(f, b)
-    mb = float(np.mean(b.values))
-    mf = float(np.mean(f.values))
-    correction = StepFunction(f.mesh, np.full(f.mesh.n_cells, mb * mf))
-    return pb, pstar, pf, correction
-
-
-def chung_decomposition(b: StepFunction, f: StepFunction):
-    """The three commutator pieces ([pi_b,Sha]f, [pi*_b,Sha]f, pi_{Sha f}b - Sha(pi_f b)).
-
-    Their sum equals [b,Sha]f exactly on the mesh: Sha annihilates constants
-    and outputs mean-zero functions, so the product-decomposition mean terms
-    cancel.
-    """
-    sha_f = petermichl_shift(f)
-    term_a = paraproduct(b, sha_f) - petermichl_shift(paraproduct(b, f))
-    term_b = paraproduct_adjoint(b, sha_f) - petermichl_shift(paraproduct_adjoint(b, f))
-    term_c = paraproduct(sha_f, b) - petermichl_shift(paraproduct(f, b))
-    return term_a, term_b, term_c
 
 
 # -- exact Hilbert transform --------------------------------------------------

@@ -67,17 +67,22 @@ class QuasiMetricCloud:
         and every z, which is d_ij over the min-plus square min_z (d_iz + d_zj):
         correctly rounded division is monotone in the divisor, so the two agree bit
         for bit.  d and so the square are exactly symmetric: blocks of rows lo..
-        that fit BLOCK_ELEMENTS read j >= lo only."""
+        that fit BLOCK_ELEMENTS read j >= lo only.  A sum d_iz + d_zj that
+        overflows to inf is harmless, as the true ratio there is below 1; a
+        constant that overflows is a config error."""
         d, n, worst = self.dist, self.n, 1.0
         buf = np.empty((2, (rows := max(1, BLOCK_ELEMENTS // n)) * n))  # one allocation: blocks of shrinking sizes fragment the heap
-        for lo in range(0, n, rows):
-            right = d[lo:lo + rows, lo:]
-            through, step = (b[:right.size].reshape(right.shape) for b in buf)
-            through.fill(np.inf)
-            for z in range(n):
-                np.minimum(through, np.add(d[lo:lo + rows, z, None], d[z, lo:], out=step), out=through)
-            np.fill_diagonal(through, np.inf)  # d_ii = 0 over inf: the diagonal does not count
-            worst = max(worst, float(np.max(np.divide(right, through, out=step))))
+        with np.errstate(over="ignore"):
+            for lo in range(0, n, rows):
+                right = d[lo:lo + rows, lo:]
+                through, step = (b[:right.size].reshape(right.shape) for b in buf)
+                through.fill(np.inf)
+                for z in range(n):
+                    np.minimum(through, np.add(d[lo:lo + rows, z, None], d[z, lo:], out=step), out=through)
+                np.fill_diagonal(through, np.inf)  # d_ii = 0 over inf: the diagonal does not count
+                worst = max(worst, float(np.max(np.divide(right, through, out=step))))
+        if not math.isfinite(worst):
+            raise ValueError("a cloud's quasi-triangle constant overflows a double")
         return {"quasi_triangle_constant": worst, "A0_ok": worst <= self.A0 * (1 + 1e-12)}
 
     @classmethod
@@ -140,11 +145,12 @@ def _euclidean_distances(xy: np.ndarray) -> np.ndarray:
     rows = max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
     work = np.empty((rows, n))  # one block of squared differences, reused
     first, *rest = xy.T
-    for i in range(0, n, rows):
-        block, step = dist[i : i + rows], work[: n - i]
-        np.square(np.subtract(first[i : i + rows, None], first, out=block), out=block)
-        for x in rest:
-            block += np.square(np.subtract(x[i : i + rows, None], x, out=step), out=step)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN distance, which the constructor rejects
+        for i in range(0, n, rows):
+            block, step = dist[i : i + rows], work[: n - i]
+            np.square(np.subtract(first[i : i + rows, None], first, out=block), out=block)
+            for x in rest:
+                block += np.square(np.subtract(x[i : i + rows, None], x, out=step), out=step)
     return np.sqrt(dist, out=dist)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeightError, MeshMismatchError, ResolutionError
+from .errors import MeshMismatchError, ResolutionError
 from .grid import DyadicInterval, GridParameters, standard_grid
 
 MAX_DEPTH = 20  # 2^20 cells: the largest mesh a config or a signal file may ask for
@@ -263,20 +263,15 @@ def _pair_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # the pairwise form of each reduction `pyramid` accepts
-_PAIRWISE = {
-    np.mean: _pair_mean,
-    np.sum: _pair_sum,
-    np.min: np.minimum,
-    np.max: np.maximum,
-}
+_PAIRWISE = {np.mean: _pair_mean, np.min: np.minimum}
 
 
 def pyramid(values: np.ndarray, reduce) -> list[np.ndarray]:
-    """`reduce` (np.mean, np.min, np.max or np.sum) over every tree interval,
-    levels 0..J, taken pairwise up from the cells; level J is a copy of the
-    cell values.  Each level pairs the even and odd entries of the one below
-    as strided slices.  Leading axes of `values` (..., 2^J) are a batch: each
-    row gets its own pyramid, bit for bit the one of the row alone."""
+    """`reduce` (np.mean or np.min) over every tree interval, levels 0..J,
+    taken pairwise up from the cells; level J is a copy of the cell values.
+    Each level pairs the even and odd entries of the one below as strided
+    slices.  Leading axes of `values` (..., 2^J) are a batch: each row gets
+    its own pyramid, bit for bit the one of the row alone."""
     pair = _PAIRWISE[reduce]
     out = [np.array(values, dtype=float)]
     while out[-1].shape[-1] > 1:
@@ -363,49 +358,3 @@ def synthesize(s: HaarSpectrum) -> StepFunction:
     for cells in partial_sums(np.array([s.mean]), haar_steps(s.mesh, s.levels)):
         pass  # only the last sum is kept, each one freed as the next is built
     return StepFunction(s.mesh, cells)
-
-
-# -- weighted Haar system --------------------------------------------------
-
-
-def _weighted_amplitudes(w: StepFunction, level: int, pos: int):
-    """(sl, half, a, b): h^w_I is -b on the left half of I and a on the right."""
-    sl = w.mesh.cell_slice(level, pos)
-    half = (sl.stop - sl.start) // 2
-    cl = w.mesh.cell_length
-    m_left = float(w.values[sl.start : sl.start + half].sum() * cl)
-    m_right = float(w.values[sl.start + half : sl.stop].sum() * cl)
-    if m_left <= 0.0 or m_right <= 0.0:
-        raise DegenerateWeightError("weighted Haar function needs positive mass on both halves")
-    m = m_left + m_right
-    return sl, half, math.sqrt(m_left / (m * m_right)), math.sqrt(m_right / (m * m_left))
-
-
-def weighted_haar(w: StepFunction, where) -> StepFunction:
-    """h^w_I, normalized in L^2(w) and of w-mean zero on I."""
-    level, pos = _resolve(w.mesh, where)
-    if level >= w.mesh.depth:
-        raise ResolutionError("weighted Haar function of a cell is not representable")
-    sl, half, a, b = _weighted_amplitudes(w, level, pos)
-    vals = np.zeros(w.mesh.n_cells)
-    vals[sl.start : sl.start + half] = -b
-    vals[sl.start + half : sl.stop] = a
-    return StepFunction(w.mesh, vals)
-
-
-def weighted_decomposition(w: StepFunction, where) -> tuple[float, float]:
-    """Coefficients (alpha, beta) with h_I = alpha h^w_I + beta 1_I/sqrt(|I|).
-
-    Solving the two constant-value equations on the halves of I gives
-    alpha = 2/(sqrt(|I|)(a+b)) and beta = (b-a)/(a+b) with a, b the weighted
-    Haar amplitudes.  The bounds |alpha| <= sqrt(<w>_I) and
-    |beta| <= |Delta_I w|/<w>_I follow.
-    """
-    level, pos = _resolve(w.mesh, where)
-    if level >= w.mesh.depth:
-        raise ResolutionError("decomposition below cell level")
-    _, _, a, b = _weighted_amplitudes(w, level, pos)
-    length = w.mesh.level_length(level)
-    alpha = 2.0 / (math.sqrt(length) * (a + b))
-    beta = (b - a) / (a + b)
-    return (alpha, beta)

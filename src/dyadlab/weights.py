@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .signal import Mesh, StepFunction, _pair_sum, means_pyramid, pyramid, sibling_difference
+from .signal import Mesh, StepFunction, _pair_sum, means_pyramid, sibling_difference
 from . import operators
 
 
@@ -120,14 +120,6 @@ def a_infty_classical(w: Weight) -> float:
     return _tree_max(a * np.exp(-b) for a, b in zip(pw, pl))[0]
 
 
-def rh_q(w: Weight, q: float) -> float:
-    """Reverse Holder characteristic sup_I <w^q>_I^{1/q} / <w>_I."""
-    if q <= 1:
-        raise ValueError("RH_q needs q > 1")
-    wq = StepFunction(w.mesh, w.values ** q)
-    return _tree_max(a ** (1.0 / q) * (1.0 / b) for a, b in zip(means_pyramid(wq), means_pyramid(w)))[0]
-
-
 def bmo_dyadic_norm(b: StepFunction) -> float:
     """sup_I (<|b - <b>_I|^2>_I)^{1/2} over the mesh tree."""
     pyr = means_pyramid(b)
@@ -232,25 +224,6 @@ def little_lemma_map(seq: CarlesonSequence, w: Weight) -> CarlesonSequence:
     """{ lambda_I / <w^{-1}>_I }: w-Carleson with intensity at most 4x the unit one."""
     pyr = means_pyramid(w.reciprocal())
     return CarlesonSequence(seq.mesh, [a * (1.0 / m) for a, m in zip(seq.levels, pyr)])
-
-
-def weighted_carleson_check(
-    seq: CarlesonSequence, v: Weight | None, F: StepFunction
-) -> tuple[float, float]:
-    """Both sides of the weighted Carleson embedding for a nonnegative F.
-
-    lhs = sum_I lambda_I inf_I F, rhs = intensity * int F v; the lemma says
-    lhs <= rhs.
-    """
-    if np.min(F.values) < 0:
-        raise ValueError("F must be nonnegative")
-    mesh = seq.mesh
-    mins = pyramid(F.values, np.min)
-    lhs = sum(float(np.dot(lam, mn)) for lam, mn in zip(seq.levels, mins))
-    A = carleson_intensity(seq, v)
-    dens = np.ones(mesh.n_cells) if v is None else v.values
-    rhs = A * float(np.sum(F.values * dens) * mesh.cell_length)
-    return (lhs, rhs)
 
 
 # -- Bellman function lemmas ------------------------------------------------

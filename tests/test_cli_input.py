@@ -328,6 +328,28 @@ def test_cloud_one_point_over_the_size_limit_is_a_config_error(tmp_path, capsys,
     assert f"at most {MAX_CLOUD_POINTS} points" in strict_loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("id_i,id_j,distance\n0,1,1e-10\n1,2,1e-10\n0,2,1e300\n", 2),
+        ("id_i,id_j,distance\n0,1,1e308\n", 0),
+        ("id,x,y\n0,0,0\n1,1e200,0\n2,0,1\n", 2),
+        ("id,x,y\n0,inf,0\n1,0,0\n2,0,1\n", 2),
+    ],
+    ids=["quasi-triangle-constant-overflows", "two-step-path-overflows", "squared-distance-overflows",
+         "infinite-coordinate"],
+)
+def test_cloud_overflow_prints_no_numpy_warning(tmp_path, capsys, text, code):
+    # each once printed a RuntimeWarning line before its output: overflow in divide (exit 0, or exit 3 on
+    # writing an infinite constant), in add, in square, and an invalid inf - inf
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(text)
+    assert main(["sht", "--cloud", str(cloud), "--out", str(tmp_path / "out")]) == code
+    for line in capsys.readouterr().err.splitlines():
+        strict_loads(line)
+
+
 @pytest.mark.parametrize(
     "experiment, fields",
     [

@@ -747,7 +747,9 @@ def row_loop_cloud(path):
     order = np.argsort([int(r[0]) for r in body])
     xy = np.array([[float(body[i][1]), float(body[i][2])] for i in order])
     mass = np.array([float(body[i][3]) for i in order]) if len(header) > 3 else np.ones(len(body))
-    return QuasiMetricCloud(np.sqrt(sum((x[:, None] - x[None, :]) ** 2 for x in xy.T)), mass)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN distance, which the constructor rejects
+        dist = np.sqrt(sum((x[:, None] - x[None, :]) ** 2 for x in xy.T))
+    return QuasiMetricCloud(dist, mass)
 
 
 def row_loop_edge_distances(reader):

@@ -1,4 +1,4 @@
-"""Step functions, fast Haar analysis, and the weighted Haar system."""
+"""Step functions and the fast Haar transform."""
 
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ from dyadlab.signal import (
     lp_norm,
     means_pyramid,
     synthesize,
-    weighted_decomposition,
-    weighted_haar,
 )
 
 
@@ -183,70 +181,6 @@ def test_resolution_and_mismatch_errors():
         inner(f, other)
 
 
-def test_weighted_haar_unit_weight_reduces_to_haar():
-    mesh = unit_mesh(5)
-    w = StepFunction(mesh, np.ones(mesh.n_cells))
-    for where in [(0, 0), (2, 1), (4, 7)]:
-        hw = weighted_haar(w, where)
-        h = haar_function(mesh, where)
-        np.testing.assert_allclose(hw.values, h.values, atol=1e-14)
-        alpha, beta = weighted_decomposition(w, where)
-        assert alpha == pytest.approx(1.0, rel=1e-14)
-        assert beta == pytest.approx(0.0, abs=1e-14)
-
-
-def test_weighted_haar_two_level_weight():
-    # w = 2 on the right half of I, 1 on the left: normalization and mean
-    # verified by direct cell sums
-    mesh = unit_mesh(4)
-    vals = np.ones(mesh.n_cells)
-    vals[8:] = 2.0
-    w = StepFunction(mesh, vals)
-    hw = weighted_haar(w, (0, 0))
-    norm2 = np.sum(hw.values ** 2 * w.values * mesh.cell_length)
-    mean = np.sum(hw.values * w.values * mesh.cell_length)
-    assert norm2 == pytest.approx(1.0, rel=1e-14)
-    assert mean == pytest.approx(0.0, abs=1e-14)
-
-
-def test_weighted_decomposition_identity_and_bounds():
-    rng = np.random.default_rng(23)
-    mesh = unit_mesh(6)
-    checked = 0
-    for _ in range(1000):
-        w = StepFunction(mesh, np.exp(rng.uniform(-2, 2, mesh.n_cells)))
-        level = int(rng.integers(0, mesh.depth))
-        pos = int(rng.integers(0, 1 << level))
-        alpha, beta = weighted_decomposition(w, (level, pos))
-        h = haar_function(mesh, (level, pos))
-        hw = weighted_haar(w, (level, pos))
-        ind = np.zeros(mesh.n_cells)
-        ind[mesh.cell_slice(level, pos)] = 1.0 / math.sqrt(mesh.level_length(level))
-        recon = alpha * hw.values + beta * ind
-        np.testing.assert_allclose(recon, h.values, atol=1e-12)
-        means = means_pyramid(w)
-        avg = means[level][pos]
-        delta = means[level + 1][2 * pos + 1] - means[level + 1][2 * pos]
-        assert abs(alpha) <= math.sqrt(avg) * (1 + 1e-12)
-        assert abs(beta) <= abs(delta) / avg + 1e-12
-        checked += 1
-    assert checked == 1000
-
-
-def test_weighted_haar_gram_l2w():
-    mesh = unit_mesh(5)
-    rng = np.random.default_rng(4)
-    w = StepFunction(mesh, np.exp(rng.uniform(-1.5, 1.5, mesh.n_cells)))
-    hws = [
-        weighted_haar(w, (level, pos)).values
-        for level in range(mesh.depth)
-        for pos in range(1 << level)
-    ]
-    dens = w.values * mesh.cell_length
-    gram = np.array([[float(np.sum(a * b * dens)) for b in hws] for a in hws])
-    np.testing.assert_allclose(gram, np.eye(len(hws)), atol=1e-10)
-
-
 def test_csv_roundtrip(tmp_path):
     mesh = unit_mesh(4)
     rng = np.random.default_rng(8)
@@ -257,17 +191,6 @@ def test_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(g.values, f.values)
     assert g.mesh.depth == mesh.depth
     assert g.mesh.root.left == mesh.root.left
-
-
-def test_weighted_haar_degenerate_mass():
-    from dyadlab.errors import DegenerateWeightError
-
-    mesh = unit_mesh(4)
-    vals = np.ones(mesh.n_cells)
-    vals[:8] = 0.0  # kills the left half of the root
-    w = StepFunction(mesh, vals)
-    with pytest.raises(DegenerateWeightError):
-        weighted_haar(w, (0, 0))
 
 
 def test_from_csv_on_custom_grid(tmp_path):

@@ -120,3 +120,49 @@ def test_every_public_definition_is_referenced():
     definitions = public_definitions({path.name: parse(path) for path in MODULES})
     orphans = [f"{where} {name}" for name, where in definitions.items() if name.split(".")[-1] not in refs]
     assert not orphans, f"public names nothing in src, tests or bench references: {orphans}"
+
+
+# the test files that drive the package as its users do: through the CLI, its reports and their references
+REPORT_TESTS = ("test_acceptance.py", "test_experiments.py", "test_cli_input.py", "test_reference.py")
+
+# public names that no report, CLI path or bench workload reaches yet, each with the ROADMAP item that is to
+# give it one; an entry that becomes reached, or whose definition goes, fails the test below
+WAITING = {
+    "covering_interval": 18,
+    "maximal_over_grid": 18,
+    "mean_oscillation": 3,
+    "sparse_commutator": 3,
+    "sparse_commutator_adjoint": 3,
+    "lor_enlargement": 3,
+    "bmo_weighted_norm": 17,
+    "sht_expand": 14,
+    "sht_reconstruct": 14,
+    # navigation of a single interval or cube, used by the unit tests' brute-force oracles
+    "DyadicInterval.endpoints": 14,
+    "DyadicInterval.children": 14,
+    "DyadicInterval.contains": 14,
+    "CubeSystem.children": 14,
+}
+
+
+def traced_paths() -> set[str]:
+    """The attribute paths of `bench/tracing.py`'s TRACED map: the benchmark patches these by name."""
+    tree = parse(REPO / "bench" / "tracing.py")
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    return {path for _, path in ast.literal_eval(table)}
+
+
+def test_every_public_definition_feeds_a_report():
+    files = [path for top in ("src", "bench") for path in sorted((REPO / top).rglob("*.py"))]
+    files += [REPO / "tests" / name for name in REPORT_TESTS]
+    refs = set().union(*(references(parse(path)) for path in files))
+    traced = traced_paths()
+    definitions = public_definitions({path.name: parse(path) for path in MODULES})
+    reached = {name for name in definitions if name.split(".")[-1] in refs or name in traced}
+    unreached = [f"{definitions[name]} {name}" for name in definitions if name not in reached and name not in WAITING]
+    assert not unreached, f"public names only unit tests reach: {unreached}; give them a report, or delete them"
+    stale = sorted(name for name in WAITING if name in reached or name not in definitions)
+    assert not stale, f"WAITING entries that are reached or no longer defined: {stale}"
