@@ -11,7 +11,10 @@ C1 = 2 A0 C0 targets rather than guaranteed.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -69,13 +72,29 @@ class QuasiMetricCloud:
         for bit.  d and so the square are exactly symmetric: blocks of rows lo..
         that fit BLOCK_ELEMENTS read j >= lo only.  A sum d_iz + d_zj that
         overflows to inf is harmless, as the true ratio there is below 1; a
-        constant that overflows is a config error."""
+        constant that overflows is a config error.
+
+        A block whose ratios d_ij / U_ij are all at most the running maximum is
+        skipped, U_ij being the minimax distance of `_minimax`, and the constant
+        stays bit for bit the same: for z not in {i, j}, fl(d_iz + d_zj) >=
+        max(d_iz, d_zj) >= U_ij, as i, z, j is a path; for z in {i, j} the term
+        is d_ij >= U_ij, the one-step path.  So the square is >= U_ij and each
+        ratio <= fl(d_ij / U_ij), by the monotone division again.  An infinite
+        bound is never skipped.  An ultrametric has U = d, so it skips every block."""
         d, n, worst = self.dist, self.n, 1.0
-        buf = np.empty((2, (rows := max(1, BLOCK_ELEMENTS // n)) * n))  # one allocation: blocks of shrinking sizes fragment the heap
+        ranks, levels = _minimax(d)
+        # one allocation, as blocks of shrinking sizes fragment the heap, whose two rows start on 64-byte
+        # boundaries: at 1024 planar points the scan ran 20-25 % slower into a buffer 16 bytes off one
+        width = -(-(rows := max(1, BLOCK_ELEMENTS // n)) * n // 8) * 8
+        raw = np.empty(2 * width + 8)
+        buf = raw[-raw.ctypes.data % 64 // 8:][:2 * width].reshape(2, width)
         with np.errstate(over="ignore"):
             for lo in range(0, n, rows):
                 right = d[lo:lo + rows, lo:]
                 through, step = (b[:right.size].reshape(right.shape) for b in buf)
+                np.take(levels, np.maximum(ranks[lo:lo + rows, lo:], ranks[lo:, lo:lo + rows].T), out=step)
+                if np.max(np.divide(right, step, out=step)) <= worst:  # the diagonal reads 0 / levels[0]
+                    continue
                 through.fill(np.inf)
                 for z in range(n):
                     np.minimum(through, np.add(d[lo:lo + rows, z, None], d[z, lo:], out=step), out=through)
@@ -94,7 +113,7 @@ class QuasiMetricCloud:
     def from_csv(cls, path) -> "QuasiMetricCloud":
         """Load `id,x,y[,mass]` rows (Euclidean) or `id_i,id_j,distance` edges."""
         with open(path) as fh:
-            header = [h.strip().lower() for h in next(csv.reader(fh), [])]
+            header = [h.strip().lower() for h in next(csv.reader([fh.readline()]), [])]  # readline keeps fh.tell()
             if header[:3] not in (["id", "x", "y"], ["id_i", "id_j", "distance"]):
                 raise ValueError("unrecognized cloud CSV header")
             if header[0] == "id_i":
@@ -111,18 +130,72 @@ class QuasiMetricCloud:
 
 def _read_rows(fh, names, ints: int) -> np.ndarray:
     """The data rows under a cloud CSV's header by one C-level `np.loadtxt`: fields `names`, the first
-    `ints` int64 ids and the rest doubles, quoted or space-padded; extra columns and blank lines skipped."""
+    `ints` int64 ids and the rest doubles, quoted or space-padded; extra columns and blank lines skipped.
+    A row that does not parse is named by its line in the file, the header being line 1."""
     dtype = np.dtype([(name, np.int64 if k < ints else float) for k, name in enumerate(names)])
     need = f"a cloud CSV needs data rows of {len(names)} fields under its header"
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data": rejected below
-            rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", usecols=range(len(names)), quotechar='"', ndmin=1)
-    except ValueError as exc:  # a short row, or a field that is no int64 id or no double
-        raise ValueError(f"{need}: {exc}") from exc
+    load = functools.partial(np.loadtxt, dtype=dtype, comments=None, delimiter=",", usecols=range(len(names)),
+                             quotechar='"', ndmin=1)
+    start = fh.tell()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data": rejected below
+        try:
+            rows = load(fh)
+        except ValueError as exc:  # a short row, or a field that is no int64 id or no double
+            fh.seek(start)
+            raise ValueError(f"{need}: {_bad_line(fh, load) or exc}") from exc
     if not rows.size:
         raise ValueError(need)
     return rows
+
+
+def _bad_line(fh, load) -> str:
+    """'line k: ' and numpy's reason for the first line of fh, numbered from 2, that `load` rejects
+    alone: the lines are read again 4096 at a time, and only a rejected block line by line.  Empty
+    when each line loads alone (a quoted field across lines)."""
+    lines = iter(fh)
+    for first in itertools.count(2, 4096):
+        if not (block := list(itertools.islice(lines, 4096))):
+            return ""
+        try:
+            load(block)
+        except ValueError:
+            for number, line in enumerate(block, first):
+                try:
+                    load([line])
+                except ValueError as exc:  # numpy's row number counts from the line given: dropped
+                    return f"line {number}: " + re.sub(r" at row \d+", "", str(exc))
+            return ""
+
+
+def _minimax(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U_ij, the least over the paths from i to j of their largest step, as
+    `levels[max(ranks[i, j], ranks[j, i])]` for i != j: ranks into the sorted
+    distinct join weights, each pair held once, in the row of whichever of i and j
+    joins the tree later (0 elsewhere), in the smallest unsigned type that holds n.
+
+    Prim's pass from point 0 joins the points in an order v_0, v_1, ... at weights
+    w_1, w_2, ..., in O(n^2); then U(v_s, v_t) = max(w_s+1, ..., w_t) for s < t.
+    At least that: before v_m joins, every step out of the tree weighs at least
+    w_m, and a path from v_s to v_t takes one.  At most that, by induction on t:
+    v_t joins by a step of w_t to some v_a; if a >= s, U(v_s, v_a) is at most
+    the largest w in (s, a], and if a < s, each of w_a+1..w_s is at most
+    d(v_a, v_t) = w_t, a step out of the tree when v_a+1..v_s joined."""
+    n = len(d)
+    order, weight = np.zeros(n, np.intp), np.full(n, np.inf)  # the root joins at weight inf
+    far = np.zeros(n)  # inf on the tree's points, so that no step leads back into it
+    far[0] = np.inf
+    best, step = d[0] + far, np.empty(n)  # each point's shortest step from the tree
+    for t in range(1, n):
+        order[t] = k = best.argmin()
+        weight[k], best[k], far[k] = best[k], np.inf, np.inf
+        np.minimum(best, np.add(d[k], far, out=step), out=best)
+    levels, rank = np.unique(weight, return_inverse=True)
+    ranks = np.zeros((n, n), np.min_scalar_type(n))
+    joined = rank[order].astype(ranks.dtype)
+    for t in range(1, n):
+        ranks[order[t], order[:t]] = np.maximum.accumulate(joined[t:0:-1])[::-1]
+    return ranks, levels
 
 
 def _symmetric(d: np.ndarray) -> bool:

@@ -281,6 +281,34 @@ def test_bad_cloud_file_is_a_config_error(tmp_path, capsys, text):
     assert_config_error(capsys, ["sht", "--cloud", str(cloud)])
 
 
+LATE_ROWS = "".join(f"{k},{k + 1},1.0\n" for k in range(5000))  # lines 2..5001: the bad row is past one re-read block
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("id,x,y\n0,0.5,0.5\n\n1,0.25\n", "line 4: invalid column index 2 with 2 columns"),
+        ("id_i,id_j,distance\n0,1,1.0\n\n1,2\n", "line 4: invalid column index 2 with 2 columns"),
+        ("id,x,y\n0,0.5,0.5\n\n1.5,0.25,0.75\n", "line 4: could not convert string '1.5' to int64, column 1."),
+        ("id_i,id_j,distance\n0,1,1.0\n\n1.5,2,1.0\n", "line 4: could not convert string '1.5' to int64, column 1."),
+        ("id,x,y,mass\n0,0.5,0.5,1\n\n1,0.25,0.75,x\n", "line 4: could not convert string 'x' to float64, column 4."),
+        ("id_i,id_j,distance\n0,1,1.0\n\n1,2,1.0.0\n", "line 4: could not convert string '1.0.0' to float64, column 3."),
+        ("id_i,id_j,distance\n" + LATE_ROWS + "\n5000,5001,\n", "line 5003: could not convert string '' to float64, column 3."),
+    ],
+    ids=["points-short-row", "edges-short-row", "points-non-integer-id", "edges-non-integer-id", "points-bad-value",
+         "edges-bad-value", "edges-bad-value-late"],
+)
+def test_cloud_parse_error_names_its_file_line(tmp_path, capsys, text, reason):
+    # numpy's reader numbered rows from the first data row, without the blank lines, and a short
+    # row from 1 but a bad field from 0: "row 2" and "row 1, column 1" for the same line
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(text)
+    assert main(["sht", "--cloud", str(cloud)]) == 2
+    width = 4 if text.startswith("id,x,y,mass") else 3
+    assert strict_loads(capsys.readouterr().err)["message"] == (
+        f"a cloud CSV needs data rows of {width} fields under its header: {reason}")
+
+
 @pytest.mark.parametrize("header", ["id,x,y,mass", "id_i,id_j,distance"])
 def test_header_only_cloud_prints_one_json_line(tmp_path, header):
     # numpy's reader warns "input contained no data" on stderr unless the empty read is caught

@@ -198,10 +198,34 @@ def test_min_plus_quasi_triangle_constant_matches_the_per_z_loop(seed):
     assert cloud.validate()["quasi_triangle_constant"] == per_z_quasi_triangle_constant(cloud.dist)
 
 
+def dyadic_ultrametric(labels):
+    """2^b between the points of the given integer labels, b the bit length of
+    their xor: the size of the smallest dyadic block holding both."""
+    d = 2.0 ** np.frexp(labels[:, None] ^ labels[None, :])[1]
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def shortened_ultrametric(n):
+    """The ultrametric of distance 2 between any two points, except 1 between
+    n-3 and n-2 and 1 + 2^-52 from both to n-1, with d(n-3, n-1) shortened to
+    2^-60: fl(1 + 2^-60) = 1 < d(n-2, n-1) is the one failing triangle, in the
+    last rows, and its ratio exceeds 1 by one ulp.  No pair is shortened below
+    three points."""
+    d = np.full((n, n), 2.0)
+    np.fill_diagonal(d, 0.0)
+    if n > 2:
+        d[n - 3:, n - 3:] = [[0.0, 1.0, 2.0 ** -60], [1.0, 0.0, np.nextafter(1.0, 2.0)], [0.0, 0.0, 0.0]]
+        d[n - 1, n - 3:n - 1] = d[n - 3:n - 1, n - 1]
+    return d
+
+
 def scan_clouds(n, seed):
-    """A power of a planar metric, a symmetric matrix far from any metric,
-    and a planar cloud with its last pair (n-2, n-1) stretched, the one
-    worst pair, which lies in the last rows."""
+    """A power of a planar metric, a symmetric matrix far from any metric, a
+    planar cloud with its last pair (n-2, n-1) stretched, the one worst pair,
+    which lies in the last rows, the dyadic ultrametric on permuted labels, an
+    equidistant cloud and `shortened_ultrametric`: the scan of every block, of
+    none (ultrametrics, whose minimax bound is 1) and of the last rows alone."""
     rng = np.random.default_rng(seed)
     x = rng.random((n, 2))
     planar = np.hypot(*(x[:, None, :] - x[None, :, :]).T)
@@ -211,7 +235,9 @@ def scan_clouds(n, seed):
     stretched = planar.copy()
     if n > 1:
         stretched[n - 2, n - 1] = stretched[n - 1, n - 2] = 3 * planar.max()
-    return {"power": planar ** rng.uniform(1.0, 3.0), "wild": wild, "stretched": stretched}
+    return {"power": planar ** rng.uniform(1.0, 3.0), "wild": wild, "stretched": stretched,
+            "dyadic": dyadic_ultrametric(rng.permutation(n)), "equidistant": 1.0 - np.eye(n),
+            "shortened": shortened_ultrametric(n)}
 
 
 @pytest.mark.parametrize("rows", ["one", "uneven", "all"])
@@ -224,6 +250,45 @@ def test_blocked_quasi_triangle_scan_matches_the_per_z_loop(monkeypatch, n, rows
     for name, dist in scan_clouds(n, 1000 + n).items():
         cloud = QuasiMetricCloud(dist, np.ones(n), A0=1.0)
         assert cloud.validate()["quasi_triangle_constant"] == per_z_quasi_triangle_constant(dist), name
+
+
+def min_max_closure(d):
+    """U_ij by brute force: min(U_ij, max(U_iz, U_zj)), one z at a time."""
+    u = d.copy()
+    for z in range(len(d)):
+        u = np.minimum(u, np.maximum(u[:, z, None], u[z, None, :]))
+    return u
+
+
+@pytest.mark.parametrize("kind", ["power", "wild", "dyadic", "equidistant", "shortened", "tied"])
+@pytest.mark.parametrize("seed", range(7))
+def test_minimax_matches_the_min_max_closure(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = seed + 1 if seed < 3 else int(rng.integers(4, 49))
+    if kind == "tied":  # three distinct distances: many trees are minimal
+        dist = rng.integers(1, 4, (n, n)).astype(float)
+        dist = np.triu(dist, 1) + np.triu(dist, 1).T
+    else:
+        dist = scan_clouds(n, seed)[kind]
+    ranks, levels = sht._minimax(dist)
+    assert ranks.dtype == np.min_scalar_type(n)
+    u = levels[np.maximum(ranks, ranks.T)]
+    np.fill_diagonal(u, 0.0)
+    assert u.tobytes() == min_max_closure(dist).tobytes()
+
+
+def test_validate_peaks_at_its_minimax_ranks_plus_two_blocks():
+    # n x n float bounds (33.5 MB at 2048 points) or a permuted copy of the ranks (8.4 MB) would not fit
+    n = 2048
+    cloud = QuasiMetricCloud(shortened_ultrametric(n), np.ones(n))
+    tracemalloc.start()
+    try:
+        constant = cloud.validate()["quasi_triangle_constant"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert constant == np.nextafter(1.0, 2.0)
+    assert peak <= n * n * 2 + 2 * 8 * sht.BLOCK_ELEMENTS + 1e6  # the uint16 ranks and `validate`'s buffer
 
 
 @pytest.mark.parametrize("kind", ["points", "edges"])
@@ -852,16 +917,17 @@ READER_LAYOUTS = {
 LOADS = None
 NEED3 = "a cloud CSV needs data rows of 3 fields under its header"
 READER_CHANGES = {  # layout: the row loops' outcome and the array reader's, LOADS or a ValueError message's start
-    "points-short-row": (NEED3, NEED3 + ": invalid column index 2"),
-    "points-non-integer-id": ("invalid literal for int()", NEED3 + ": could not convert string '1.5' to int64"),
+    # (a row that does not parse is named by its file line, the header being line 1)
+    "points-short-row": (NEED3, NEED3 + ": line 3: invalid column index 2"),
+    "points-non-integer-id": ("invalid literal for int()", NEED3 + ": line 3: could not convert string '1.5' to int64"),
     "points-blank-lines": (NEED3, LOADS),
-    "points-underscore-digits": (LOADS, NEED3 + ": could not convert string '0_4' to float64"),
-    "points-id-beyond-int64": (LOADS, NEED3 + ": could not convert string '9223372036854775808' to int64"),
-    "edges-short-row": (NEED3, NEED3 + ": invalid column index 2"),
-    "edges-non-integer-id": ("invalid literal for int()", NEED3 + ": could not convert string '1.5' to int64"),
+    "points-underscore-digits": (LOADS, NEED3 + ": line 3: could not convert string '0_4' to float64"),
+    "points-id-beyond-int64": (LOADS, NEED3 + ": line 3: could not convert string '9223372036854775808' to int64"),
+    "edges-short-row": (NEED3, NEED3 + ": line 3: invalid column index 2"),
+    "edges-non-integer-id": ("invalid literal for int()", NEED3 + ": line 3: could not convert string '1.5' to int64"),
     "edges-blank-lines": (NEED3, LOADS),
-    "edges-underscore-digits": (LOADS, NEED3 + ": could not convert string '1_0' to float64"),
-    "edges-id-beyond-int64": (LOADS, NEED3 + ": could not convert string '9223372036854775808' to int64"),
+    "edges-underscore-digits": (LOADS, NEED3 + ": line 3: could not convert string '1_0' to float64"),
+    "edges-id-beyond-int64": (LOADS, NEED3 + ": line 3: could not convert string '9223372036854775808' to int64"),
 }
 
 
